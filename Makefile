@@ -38,18 +38,13 @@ bench-json:
 		--output BENCH_PR2.json \
 		--require-speedup 3 --require-count 2
 
-# The PR3 evaluator gate: run the evaluator benches under the legacy
-# backend (re-capturing the committed pre-engine baseline) and under
-# the compiled backend, then compare -- median speedups plus
-# reproduction-fact equality, at least 3 benches >= 3x.  Writes the
-# BENCH_PR3.json trajectory file.  See docs/PERFORMANCE.md.
+# The PR3 evaluator gate: run the evaluator benches on the compiled
+# engine and compare them with the committed pre-engine baseline (the
+# backtracking evaluator's run of the same file) -- median speedups
+# plus reproduction-fact equality, at least 3 benches >= 3x.  Writes
+# the BENCH_PR3.json trajectory file.  See docs/PERFORMANCE.md.
 bench-engine-json:
-	REPRO_EVAL_BACKEND=legacy pytest benchmarks/bench_evaluator.py -q \
-		--benchmark-only --benchmark-disable-gc \
-		--benchmark-json=.bench_engine_legacy.json
-	python benchmarks/compare_bench.py merge .bench_engine_legacy.json \
-		--output benchmarks/baseline_preengine.json
-	REPRO_EVAL_BACKEND=compiled pytest benchmarks/bench_evaluator.py -q \
+	pytest benchmarks/bench_evaluator.py -q \
 		--benchmark-only --benchmark-disable-gc \
 		--benchmark-json=.bench_engine_compiled.json
 	python benchmarks/compare_bench.py compare \

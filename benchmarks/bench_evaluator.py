@@ -1,19 +1,19 @@
 """Query-evaluation benchmarks: the mediator's serving hot path.
 
-Every bench here runs under the backend selected by
-``REPRO_EVAL_BACKEND`` (default: compiled).  The committed trajectory
-file ``BENCH_PR3.json`` pairs a legacy-backend baseline run with a
-compiled-backend current run of this exact file (see the Makefile's
-``bench-engine-json`` target); ``extra_info`` carries the reproduced
-facts -- pick counts, document sizes -- which must be identical across
-backends, so the benchmark comparison doubles as a differential check.
+The committed baseline ``baseline_preengine.json`` is a run of this
+file by the backtracking evaluator, captured before the compiled engine
+replaced it; the Makefile's ``bench-engine-json`` target compares a
+current run against it and writes ``BENCH_PR3.json``.  ``extra_info``
+carries the reproduced facts -- pick counts, document sizes -- which
+must be identical to the baseline's, so the benchmark comparison
+doubles as a differential check.
 
 Ladders:
 
 * document-count: the same view evaluated over growing source corpora;
 * fan-out: wide departments where sibling conditions must bind
-  injectively over many candidate children (the combinatorial spot the
-  legacy backtracker is worst at);
+  injectively over many candidate children (the combinatorial spot a
+  backtracking matcher is worst at);
 * recursive chain: Example 3.5-style ``<section*>`` descents, which the
   compiled engine answers by interval scans over the document index;
 * paper + bibdb workloads and the mediator end-to-end paths.
@@ -22,24 +22,16 @@ Ladders:
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 
 from repro.dtd import generate_document
 from repro.mediator import Mediator, Source
 from repro.workloads import bibdb, paper
-from repro.xmas import eval_backend, evaluate_many, parse_query
+from repro.xmas import evaluate_many, parse_query
 from repro.xmlmodel import Document, elem, text_elem
 
-# The legacy backtracker spends several Python frames per document
-# level on the recursive-chain workload; give it headroom so the
-# baseline run measures time, not the interpreter's recursion limit.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
-
-
 def _record(benchmark, answer: Document, **facts) -> None:
-    benchmark.extra_info["backend"] = eval_backend()
     benchmark.extra_info["picked"] = len(answer.root.children)
     for key, value in facts.items():
         benchmark.extra_info[key] = value

@@ -40,9 +40,8 @@ COUNTER_KEYS = (
     "speedup",
     "sharing_speedup",
     "preflight_fraction",
-    # provenance of an evaluator run, not a reproduced fact: the
-    # BENCH_PR3 trajectory compares a legacy-backend baseline against a
-    # compiled-backend current run on purpose
+    # provenance tag of the committed pre-engine evaluator baseline
+    # (BENCH_PR3), not a reproduced fact
     "backend",
 )
 

@@ -19,7 +19,11 @@ CHANGES.md, docs/*.md) and verifies that
    appears in ``docs/DIAGNOSTICS.md`` -- the catalogue can never
    silently fall behind the code;
 4. every **``src/repro`` package** (a directory with ``__init__.py``)
-   has a ``repro.<name>`` row in README.md's architecture inventory.
+   has a ``repro.<name>`` row in README.md's architecture inventory;
+5. every **``REPRO_*`` environment variable** the prose names is read
+   somewhere under ``src/`` (appears there as a string literal), so a
+   removed switch cannot live on in the docs.  CHANGES.md is history
+   and is exempt.
 
 Exit status: 0 when everything resolves, 1 otherwise (one line per
 broken reference).  Wired into ``make check-docs`` / ``make check``.
@@ -55,6 +59,7 @@ PATH_TOKEN = re.compile(
     r"|[\w\-]+\.md)"
     r"(?::(\d+))?$"
 )
+ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 
 
 def iter_md_links(text: str):
@@ -148,12 +153,35 @@ def check_readme_inventory() -> list[str]:
     return problems
 
 
+def check_environment_variables(docs: list[Path]) -> list[str]:
+    """Every ``REPRO_*`` variable a doc names must be read in ``src/``."""
+    source = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted((REPO / "src").rglob("*.py"))
+    )
+    problems = []
+    for doc in docs:
+        if doc.name == "CHANGES.md":
+            continue
+        text = doc.read_text(encoding="utf-8")
+        for match in ENV_VAR.finditer(text):
+            name = match.group(0)
+            if f'"{name}"' not in source and f"'{name}'" not in source:
+                line = text.count("\n", 0, match.start()) + 1
+                problems.append(
+                    f"{doc.relative_to(REPO)}:{line}: environment variable"
+                    f" {name} is not read anywhere under src/"
+                )
+    return problems
+
+
 def main() -> int:
     problems = []
     for doc in DOC_FILES:
         problems.extend(check_file(doc))
     problems.extend(check_diagnostic_catalogue())
     problems.extend(check_readme_inventory())
+    problems.extend(check_environment_variables(DOC_FILES))
     for problem in problems:
         print(problem)
     checked = ", ".join(str(p.relative_to(REPO)) for p in DOC_FILES)

@@ -4,8 +4,7 @@ Commands:
 
 * ``infer``     -- infer the view DTD of an XMAS query over a DTD
 * ``classify``  -- valid / satisfiable / unsatisfiable verdict
-* ``evaluate``  -- run a query over an XML document (alias: ``eval``;
-  ``--backend legacy|compiled`` selects the evaluation engine)
+* ``evaluate``  -- run a query over an XML document (alias: ``eval``)
 * ``ask``       -- answer a query through a mediated view (register the
   view over a source, pre-flight, simplify, then evaluate)
 * ``validate``  -- validate a document against a DTD
@@ -76,16 +75,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0 if result.classification.is_satisfiable else 1
 
 
-def _set_backend(args: argparse.Namespace) -> None:
-    backend = getattr(args, "backend", None)
-    if backend:
-        from .xmas import set_eval_backend
-
-        set_eval_backend(backend)
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    _set_backend(args)
     query = _load_query(args.query)
     document = parse_document(Path(args.document).read_text())
     answer = evaluate(query, document)
@@ -104,7 +94,6 @@ def _cmd_ask(args: argparse.Namespace) -> int:
         render_health,
     )
 
-    _set_backend(args)
     dtd = _load_dtd(args.dtd, args.root)
     view_query = _load_query(args.view)
     client_query = _load_query(args.query)
@@ -519,23 +508,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_stats_option(p)
     p.set_defaults(func=_cmd_classify)
 
-    def add_backend_option(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend",
-            choices=["legacy", "compiled"],
-            default=None,
-            help=(
-                "query evaluation backend (default: REPRO_EVAL_BACKEND"
-                " or compiled)"
-            ),
-        )
-
     p = sub.add_parser(
         "evaluate", aliases=["eval"], help="run a query over a document"
     )
     p.add_argument("--query", required=True)
     p.add_argument("document", help="XML document file")
-    add_backend_option(p)
     add_stats_option(p)
     add_trace_option(p)
     p.set_defaults(func=_cmd_evaluate)
@@ -546,8 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Register a view over a source (DTD + documents), then answer"
             " a client query against it through the mediator: DTD-based"
-            " pre-flight, simplification, composition or materialization,"
-            " and the selected evaluation backend."
+            " pre-flight, simplification, and composition or"
+            " materialization."
         ),
     )
     add_dtd_options(p)
@@ -606,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
             " counters entirely)"
         ),
     )
-    add_backend_option(p)
     add_stats_option(p)
     add_trace_option(p)
     p.set_defaults(func=_cmd_ask)

@@ -20,28 +20,19 @@ counting constraints: a position in a content model is a position
 regardless of its tag, so ``j*, j^1, j*, j^2, j*`` still demands two
 ``j`` children after both tags collapse to the base.
 
-Two partition backends implement the per-round refinement:
-
-``"signature"`` (default)
-    each member's renamed content model is mapped to its canonical
-    minimal-DFA signature (:func:`repro.regex.canonical_signature`)
-    and members are grouped by signature -- one minimization per
-    member per round, O(n) instead of the O(n^2) pairwise products;
-``"pairwise"``
-    the original formulation: scan the round's buckets and compare
-    against each pivot with ``is_equivalent``.  Kept as the
-    differential-testing oracle for the kernel.
+Each refinement round maps every member's renamed content model to its
+canonical minimal-DFA signature (:func:`repro.regex.canonical_signature`)
+and groups members by signature: one minimization per member per round,
+O(n) instead of O(n^2) pairwise equivalence tests.  The pairwise
+formulation is kept in ``tests/oracles.py`` as the differential oracle.
 """
 
 from __future__ import annotations
 
 from .. import obs
 from ..dtd import Pcdata, SpecializedDtd, TaggedName
-from ..regex import Regex, Sym, canonical_signature, is_equivalent, rename
+from ..regex import Sym, canonical_signature, rename
 from .tighten import NodeTyping, TightenResult
-
-#: Default partition backend; see module docstring.
-DEFAULT_BACKEND = "signature"
 
 
 def _representative(members: list[TaggedName]) -> TaggedName:
@@ -106,60 +97,8 @@ def _split_by_signature(
     return list(buckets.values())
 
 
-def _split_pairwise(
-    sdtd: SpecializedDtd,
-    members: list[TaggedName],
-    rep_map: dict[TaggedName, Sym],
-) -> list[list[TaggedName]]:
-    """One refinement step, legacy formulation: compare against pivots."""
-
-    def canonical(content: object) -> object:
-        if isinstance(content, Pcdata):
-            return content
-        return rename(content, rep_map)
-
-    buckets: list[tuple[object, list[TaggedName]]] = []
-    for key in members:
-        content = canonical(sdtd.types[key])
-        placed = False
-        for pivot, bucket in buckets:
-            if isinstance(content, Pcdata) and isinstance(pivot, Pcdata):
-                bucket.append(key)
-                placed = True
-                break
-            if (
-                isinstance(content, Regex)
-                and isinstance(pivot, Regex)
-                and is_equivalent(content, pivot)
-            ):
-                bucket.append(key)
-                placed = True
-                break
-        if not placed:
-            buckets.append((content, [key]))
-    return [bucket for _, bucket in buckets]
-
-
-_SPLITTERS = {
-    "signature": _split_by_signature,
-    "pairwise": _split_pairwise,
-}
-
-
-def compute_equivalence(
-    sdtd: SpecializedDtd,
-    backend: str | None = None,
-) -> dict[TaggedName, TaggedName]:
-    """Map each key to its equivalence-class representative.
-
-    ``backend`` selects the per-round partition strategy (see module
-    docstring); both produce the same partition, which the
-    differential property tests assert on random s-DTDs.
-    """
-    try:
-        split = _SPLITTERS[backend or DEFAULT_BACKEND]
-    except KeyError:
-        raise ValueError(f"unknown collapse backend {backend!r}") from None
+def compute_equivalence(sdtd: SpecializedDtd) -> dict[TaggedName, TaggedName]:
+    """Map each key to its equivalence-class representative."""
     classes = _initial_classes(sdtd)
 
     while True:
@@ -170,7 +109,7 @@ def compute_equivalence(
             if len(members) == 1:
                 new_classes.append(members)
                 continue
-            split_members = split(sdtd, members, rep_map)
+            split_members = _split_by_signature(sdtd, members, rep_map)
             if len(split_members) > 1:
                 changed = True
             new_classes.extend(split_members)
@@ -218,10 +157,16 @@ def _renumber(
 
 def collapse_equivalent(
     sdtd: SpecializedDtd,
-    backend: str | None = None,
 ) -> tuple[SpecializedDtd, dict[TaggedName, TaggedName]]:
     """Collapse equivalent specializations; returns (s-DTD, key map)."""
-    equivalence = compute_equivalence(sdtd, backend=backend)
+    return _collapse_classes(sdtd, compute_equivalence(sdtd))
+
+
+def _collapse_classes(
+    sdtd: SpecializedDtd,
+    equivalence: dict[TaggedName, TaggedName],
+) -> tuple[SpecializedDtd, dict[TaggedName, TaggedName]]:
+    """Merge each class of ``equivalence`` into one renumbered key."""
     final = _renumber(equivalence, sdtd)
     sym_map = {
         key: Sym(*target) for key, target in final.items() if key != target

@@ -87,16 +87,14 @@ class MatViewPolicy:
     ``enabled=False`` keeps the cache object but never serves from it
     (the cheap comparator for the disabled-overhead benchmark gate);
     ``delta=False`` disables splicing, so any mutation of a
-    contributing document costs a full recompute; ``validate_deltas``
-    re-validates every spliced answer against the inferred view DTD
-    before release (the soundness belt -- leave it on outside
-    benchmarks); ``max_bytes`` bounds the sum of cached answer-size
-    estimates (LRU eviction).
+    contributing document costs a full recompute; ``max_bytes`` bounds
+    the sum of cached answer-size estimates (LRU eviction).  Every
+    spliced answer is re-validated against the inferred view DTD before
+    release (a soundness check, always on).
     """
 
     enabled: bool = True
     delta: bool = True
-    validate_deltas: bool = True
     max_bytes: int = 8 << 20
 
 
@@ -594,7 +592,7 @@ class MatViewCache:
                         state.stop += shift
             sp.set_attribute("spliced_elements", len(new_children))
             sp.set_attribute("shift", shift)
-            if entry.dtd is not None and self.policy.validate_deltas:
+            if entry.dtd is not None:
                 if not self._splice_validates(
                     maintained.root, new_children, entry.dtd
                 ):

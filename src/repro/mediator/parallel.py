@@ -29,7 +29,7 @@ measured answer latencies (``SourceTransport.latency``, the
 **slowest-first** — the classic longest-processing-time heuristic:
 when legs outnumber workers, starting the slowest source earliest
 minimizes the makespan — and derives a **p95-based per-call timeout**
-(``p95 × timeout_headroom``) for sources with enough history, so a
+(``p95 × TIMEOUT_HEADROOM``) for sources with enough history, so a
 source that has gone slow is cut off early and degraded answers under
 deadline pressure preferentially keep the fast, healthy sources.
 
@@ -50,24 +50,28 @@ from ..xmas import Query
 from ..xmlmodel import Document
 from .transport import Clock, Deadline, SourceTransport, SystemClock
 
+#: A derived per-call timeout is this multiple of the source's p95
+#: latency...
+TIMEOUT_HEADROOM = 2.0
+#: ...floored here, so one fast answer cannot strangle a source's
+#: natural variance...
+MIN_TIMEOUT = 0.05
+#: ...and derived (and used to order dispatch) only after this many
+#: measured answers.
+MIN_HISTORY = 4
+
 
 @dataclass(frozen=True)
 class FanoutPolicy:
     """How a mediator parallelizes its union fan-outs.
 
     ``max_workers`` bounds the pool (legs beyond it queue and start as
-    workers free up).  ``timeout_headroom`` scales the p95 latency into
-    a per-call timeout, floored at ``min_timeout`` so one fast answer
-    cannot strangle a source's natural variance; the derivation only
-    kicks in after ``min_history`` measured answers.  ``cost_aware``
-    turns slowest-first ordering and timeout derivation off together
+    workers free up).  ``cost_aware`` turns slowest-first ordering and
+    p95-derived timeouts (see :data:`TIMEOUT_HEADROOM`) off together
     (registration order, policy timeouts only).
     """
 
     max_workers: int = 4
-    timeout_headroom: float = 2.0
-    min_timeout: float = 0.05
-    min_history: int = 4
     cost_aware: bool = True
 
 
@@ -145,7 +149,7 @@ class ParallelTransport:
         estimates: list[float] = []
         for transport, _ in legs:
             p95 = None
-            if transport.latency.count >= self.policy.min_history:
+            if transport.latency.count >= MIN_HISTORY:
                 p95 = transport.latency_quantile(0.95)
             estimates.append(float("inf") if p95 is None else p95)
         indexes.sort(key=lambda i: (-estimates[i], i))
@@ -154,18 +158,18 @@ class ParallelTransport:
     def derived_timeout(self, transport: SourceTransport) -> float | None:
         """The p95-based per-call timeout for one leg (None = policy).
 
-        Only derived once the source has ``min_history`` measured
+        Only derived once the source has ``MIN_HISTORY`` measured
         answers; the transport takes the *minimum* of this and its
         policy timeout, so derivation can only tighten.
         """
         if not self.policy.cost_aware:
             return None
-        if transport.latency.count < self.policy.min_history:
+        if transport.latency.count < MIN_HISTORY:
             return None
         p95 = transport.latency_quantile(0.95)
         if p95 is None:
             return None
-        return max(self.policy.min_timeout, p95 * self.policy.timeout_headroom)
+        return max(MIN_TIMEOUT, p95 * TIMEOUT_HEADROOM)
 
     # -- fan-out ---------------------------------------------------------
 

@@ -40,8 +40,7 @@ section of ``kernel_stats()`` and traced under ``shard.prune`` spans.
 :class:`~repro.mediator.parallel.ParallelTransport`: per-shard
 circuit breakers, retry/backoff, latency histograms, slowest-p95-first
 dispatch, and p95-derived timeouts all generalize from per-source to
-per-shard for free, with an optional per-gather deadline budget
-(``ShardPolicy.gather_budget``).  Answers merge **deterministically in
+per-shard for free.  Answers merge **deterministically in
 shard order** (fan-out results come back in input leg order, so the
 merge — and therefore every trace and counter — is run-identical
 under :class:`~repro.mediator.transport.FakeClock`).  When a shard
@@ -89,7 +88,6 @@ from .parallel import FanoutPolicy, ParallelTransport
 from .source import Source
 from .transport import (
     Clock,
-    Deadline,
     SourceTransport,
     SystemClock,
     TransportPolicy,
@@ -109,16 +107,13 @@ class ShardPolicy:
     every shard — the oracle mode the differential tests and the
     benchmark equality gate compare against).  ``partial`` releases a
     merged answer when some shards fail permanently (``MED008``)
-    instead of failing the logical call.  ``gather_budget`` is an
-    optional per-gather deadline in seconds, shared by all shard legs
-    of one query.  ``check_fragments`` verifies at construction that
-    every fragment DTD specializes the logical DTD (leave it on
-    outside benchmarks; the check is cached-DFA cheap).
+    instead of failing the logical call.  ``check_fragments`` verifies
+    at construction that every fragment DTD specializes the logical DTD
+    (leave it on outside benchmarks; the check is cached-DFA cheap).
     """
 
     prune: bool = True
     partial: bool = False
-    gather_budget: float | None = None
     check_fragments: bool = True
 
 
@@ -509,17 +504,11 @@ class ShardedSource(Source):
         if not survivors:
             self.last_gather = report
             return self._empty_answer(query)
-        deadline = (
-            Deadline.after(self.clock, self.policy.gather_budget)
-            if self.policy.gather_budget is not None
-            else None
-        )
         with obs.span("shard.gather") as sp:
             sp.set_attribute("source", self.name)
             sp.set_attribute("legs", len(survivors))
             results = self.parallel.fan_out(
-                [(self.transports[index], query) for index in survivors],
-                deadline,
+                [(self.transports[index], query) for index in survivors]
             )
             with self._stats_lock:
                 self.stats.shards_called += len(survivors)

@@ -111,8 +111,7 @@ class Source:
         """Pre-build the document indexes the compiled engine uses.
 
         Serving latency work moved to load time; returns the number of
-        documents indexed.  A no-op for the legacy backend (indexes are
-        simply never consulted).
+        documents indexed.
         """
         from ..xmlmodel import document_index
 

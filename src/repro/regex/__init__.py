@@ -56,16 +56,13 @@ from .language import (
     canonical_signature,
     clear_caches,
     difference_witness,
-    equivalence_backend,
     is_empty,
     is_equivalent,
-    is_equivalent_pairwise,
     is_proper_subset,
     is_subset,
     matches,
     matches_letters,
     minimal_dfa,
-    set_equivalence_backend,
     to_dfa,
 )
 from .parser import parse_regex
@@ -93,11 +90,9 @@ __all__ = [
     "count_words_by_length",
     "count_words_up_to",
     "difference_witness",
-    "equivalence_backend",
     "image",
     "is_empty",
     "is_equivalent",
-    "is_equivalent_pairwise",
     "is_proper_subset",
     "is_subset",
     "kernel_stats",
@@ -112,7 +107,6 @@ __all__ = [
     "nullable",
     "register_cache",
     "render_stats",
-    "set_equivalence_backend",
     "opt",
     "parse_regex",
     "plus",

@@ -16,10 +16,8 @@ per-call constructions:
   signature** (the trimmed, BFS-renumbered minimal DFA -- a canonical
   form of its language, see :func:`repro.regex.dfa.dfa_signature`);
 * :func:`is_equivalent` decides by signature comparison backed by a
-  union-find over already-equated expressions, so the product
-  automaton of the legacy path (kept as
-  :func:`is_equivalent_pairwise` for differential testing) is never
-  built;
+  union-find over already-equated expressions, so no per-pair product
+  automaton is ever built;
 * :func:`is_subset` runs its difference product on cached *minimal*
   automata after an O(1) signature fast path.
 
@@ -29,7 +27,6 @@ Every cache registers with :mod:`repro.regex.kernel`, so
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Sequence
 
@@ -103,8 +100,7 @@ def minimal_dfa(regex: Regex) -> Dfa:
 
 
 # ---------------------------------------------------------------------------
-# equivalence: signature kernel + union-find, with the legacy
-# product-automaton path kept for differential testing
+# equivalence: signature kernel + union-find
 
 
 #: Union-find parents over regexes already proven equivalent.  Nodes
@@ -116,26 +112,6 @@ kernel.register_cache(
     _EQUIV_PARENT.clear,
     lambda: {"size": len(_EQUIV_PARENT)},
 )
-
-#: Equivalence backend: "signature" (the kernel) or "pairwise" (the
-#: legacy per-pair product automaton).  Overridable per call site, per
-#: process (set_equivalence_backend), or via environment.
-_BACKENDS = ("signature", "pairwise")
-_backend = os.environ.get("REPRO_EQUIV_BACKEND", "signature")
-
-
-def set_equivalence_backend(name: str) -> str:
-    """Set the process-wide equivalence backend; returns the old one."""
-    global _backend
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown equivalence backend {name!r}")
-    old, _backend = _backend, name
-    return old
-
-
-def equivalence_backend() -> str:
-    """The current process-wide equivalence backend."""
-    return _backend
 
 
 def _find(regex: Regex) -> Regex:
@@ -154,8 +130,6 @@ def _find(regex: Regex) -> Regex:
 
 def is_equivalent(left: Regex, right: Regex) -> bool:
     """Language equality of the two expressions."""
-    if _backend == "pairwise":
-        return is_equivalent_pairwise(left, right)
     if left is right:
         kernel.EVENTS["equiv.identity"] += 1
         return True
@@ -169,30 +143,6 @@ def is_equivalent(left: Regex, right: Regex) -> bool:
         return True
     kernel.EVENTS["equiv.signature_distinct"] += 1
     return False
-
-
-@lru_cache(maxsize=None)
-def _pairwise_equivalent(left: Regex, right: Regex) -> bool:
-    a, b = _aligned(left, right)
-    symmetric = product(a, b, lambda x, y: x != y)
-    return symmetric.is_empty()
-
-
-kernel.register_lru("language.pairwise_equivalent", _pairwise_equivalent)
-
-
-def is_equivalent_pairwise(left: Regex, right: Regex) -> bool:
-    """Legacy equivalence: emptiness of the symmetric-difference product.
-
-    Kept as the differential-testing oracle for the signature kernel.
-    The call is symmetric, so arguments are normalized to a canonical
-    order and ``(a, b)`` / ``(b, a)`` share one cache entry.
-    """
-    if left is right:
-        return True
-    if (right._hash, id(right)) < (left._hash, id(left)):
-        left, right = right, left
-    return _pairwise_equivalent(left, right)
 
 
 # ---------------------------------------------------------------------------

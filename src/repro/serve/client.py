@@ -69,8 +69,11 @@ class ServeClient:
         self._next_id += 1
         message = {"op": op, "id": self._next_id, **fields}
         self._socket.sendall(protocol.encode(message))
-        line = self._reader.readline(protocol.MAX_LINE_BYTES + 1)
-        if not line:
+        # Responses are not capped (``MAX_LINE_BYTES`` bounds requests):
+        # a union answer can be any size, and a partial read would leave
+        # its tail in the stream as the next call's response.
+        line = self._reader.readline()
+        if not line.endswith(b"\n"):
             raise ServeClientError("server closed the connection")
         try:
             response = json.loads(line.decode("utf-8"))

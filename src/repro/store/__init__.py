@@ -15,7 +15,7 @@ holding heterogeneous data plus structural metadata):
   materializing the tree; memory during ingest is O(one document).
 * :class:`StoredDocument` -- a :class:`~repro.xmlmodel.element.Document`
   handle over one stored document.  Holds no tree; ``.root`` hydrates
-  on demand (legacy-evaluator fallback and validation only).
+  on demand (enumeration fallback and validation only).
 * :class:`StoredDocumentIndex` -- satisfies the engine's index
   protocol (``labelled``, ``labelled_within``, ``labelled_set``,
   ``is_ancestor_or_self``, ``position_of``, plus the narrow accessors

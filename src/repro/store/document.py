@@ -13,7 +13,7 @@ generation and structural joins run at plain-list speed; the
 bulk of a corpus) stays on disk and hydrates through the store's
 bounded page/LRU cache.  Trees materialize only for the final picks
 (:meth:`StoredDocumentIndex.element_at`, subtree-sized) or the
-legacy-evaluator fallback (``.root``, document-sized, counted as a
+engine's enumeration fallback (``.root``, document-sized, counted as a
 ``hydration`` in the store's cache stats).
 """
 
@@ -250,7 +250,7 @@ class StoredDocument(Document):
     ``root_type``, ``size()``, ``iter()`` -- without holding a tree.
     ``document_index`` dispatches to :meth:`stored_index` (duck-typed),
     so the compiled engine runs on the stored arrays; anything that
-    touches ``.root`` (the legacy evaluator, DTD validation,
+    touches ``.root`` (the enumeration fallback, DTD validation,
     serialization) hydrates the full tree *per access* and is counted
     in the store's ``hydrations`` stat -- correctness fallback, not the
     fast path.  Stored documents are immutable: edit by re-ingesting,

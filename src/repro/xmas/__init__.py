@@ -36,19 +36,11 @@ from .engine import (
     CompiledPlan,
     PlanNode,
     compile_query,
-    compiled_picked_elements,
-    evaluate_compiled,
-    evaluate_many_compiled,
-)
-from .evaluator import (
-    bindings,
-    eval_backend,
     evaluate,
     evaluate_many,
-    legacy_picked_elements,
     picked_elements,
-    set_eval_backend,
 )
+from .evaluator import bindings, legacy_picked_elements
 from .parser import parse_query
 
 __all__ = [
@@ -66,16 +58,12 @@ __all__ = [
     "bindings",
     "check_inference_applicable",
     "compile_query",
-    "compiled_picked_elements",
     "cond",
     "condition_size",
-    "eval_backend",
     "evaluate",
-    "evaluate_compiled",
     "evaluate_construct",
     "evaluate_construct_many",
     "evaluate_many",
-    "evaluate_many_compiled",
     "expand_wildcards",
     "has_recursive_steps",
     "legacy_picked_elements",
@@ -86,5 +74,4 @@ __all__ = [
     "picked_elements",
     "query",
     "resolve_against_dtd",
-    "set_eval_backend",
 ]

@@ -1,12 +1,12 @@
-"""Compiled query-execution engine: the mediator's serving hot path.
+"""Pick-element query evaluation: the mediator's serving hot path.
 
-The legacy evaluator (:mod:`repro.xmas.evaluator`) re-interprets the
-query AST per document and enumerates *every* complete binding
-environment, even though pick-element semantics (Section 2.1) only
-need the set of elements bound to the pick variable.  This module
-compiles a :class:`~repro.xmas.ast.Query` once -- at mediator view
-registration -- into a :class:`CompiledPlan` and evaluates it by
-**pick-projection** over a :class:`~repro.xmlmodel.index.DocumentIndex`:
+Pick-element semantics (Section 2.1) only need the set of elements
+bound to the pick variable, not every complete binding environment
+that the backtracking matcher (:mod:`repro.xmas.evaluator`)
+enumerates.  This module compiles a :class:`~repro.xmas.ast.Query`
+once -- at mediator view registration -- into a :class:`CompiledPlan`
+and evaluates it by **pick-projection** over a
+:class:`~repro.xmlmodel.index.DocumentIndex`:
 
 1. *Compilation* numbers the condition nodes in preorder, precomputes
    each node's name-test letter set, locates the root-to-pick chain,
@@ -26,16 +26,17 @@ registration -- into a :class:`CompiledPlan` and evaluates it by
    the positions where the pick node participates in some complete
    match are extracted; off-path subtrees contribute existence facts
    only.  The picked set comes out sorted by position, i.e. in
-   document order -- identical to the legacy backend's ordering.
+   document order.
 
 Pick-projection is sound whenever the variables cannot constrain the
 search beyond the injective-sibling rule: every variable bound at one
 node, and no inequality relating two nodes on a common root-to-leaf
 condition path (inequalities across *separated* nodes are free: the
-injective child assignment places them in disjoint subtrees).  Plans
-that fail the analysis fall back to the legacy full-enumeration
-backend -- which also serves as the differential-testing oracle, see
-``tests/xmas/test_engine_differential.py``.
+injective child assignment places them in disjoint subtrees).  The
+engine reads that analysis from :attr:`CompiledPlan.projectable`; plans
+that fail it are answered by the matcher's full enumeration, which
+``tests/xmas/test_engine_differential.py`` also uses as the oracle for
+pick-projection.
 
 The plan cache registers with the :mod:`repro.regex.kernel` registry,
 so ``clear_caches()`` / ``kernel_stats()`` / CLI ``--stats`` cover it
@@ -55,6 +56,7 @@ from ..xmlmodel import Document, Element, fresh_id
 from ..xmlmodel import index as _index_module
 from ..xmlmodel.index import DocumentIndex, document_index
 from .ast import Condition, Query
+from .evaluator import legacy_picked_elements
 
 # ---------------------------------------------------------------------------
 # plan representation
@@ -552,8 +554,8 @@ class PickOrigin(NamedTuple):
     ``doc`` is the ordinal of the source document in the evaluated
     list, ``pos`` the picked element's preorder position in that
     document's index, and ``end`` the exclusive end of its descendant
-    interval (``-1``/``-1`` when the legacy fallback picked an element
-    the index cannot place).  :mod:`repro.mediator.matview` stores
+    interval (``-1``/``-1`` when the enumeration fallback picked an
+    element the index cannot place).  :mod:`repro.mediator.matview` stores
     these alongside cached answers to splice per-document deltas.
     """
 
@@ -619,11 +621,13 @@ def _picked_with_origins(
     ordinal: int,
     origins: list[PickOrigin] | None,
 ) -> list[Element]:
-    """One document's picks, appending their origins when recording."""
+    """One document's picks, appending their origins when recording.
+
+    Non-projectable plans (see :class:`CompiledPlan`) fall back to the
+    matcher's full enumeration.
+    """
     if not plan.projectable:
         kernel.EVENTS["engine.fallback"] += 1
-        from .evaluator import legacy_picked_elements
-
         picked = legacy_picked_elements(query, document)
         if origins is not None:
             index = document_index(document)
@@ -651,34 +655,27 @@ def _picked_with_origins(
 # ---------------------------------------------------------------------------
 
 
-def compiled_picked_elements(
-    query: Query, document: Document, plan: CompiledPlan | None = None
-) -> list[Element]:
-    """Pick-variable elements, document order -- the compiled backend.
+def picked_elements(query: Query, document: Document) -> list[Element]:
+    """Elements bound to the pick variable, document order, no repeats."""
+    return _picked_with_origins(query, compile_query(query), document, 0, None)
 
-    Non-projectable plans (see :class:`CompiledPlan`) fall back to the
-    legacy full-enumeration evaluator.
+
+def evaluate(query: Query, document: Document) -> Document:
+    """Run the query: the view document with the picked elements.
+
+    The picked elements are deep-copied with fresh IDs so the result
+    is itself a well-formed document (unique IDs).
     """
-    if plan is None:
-        plan = compile_query(query)
-    if not plan.projectable:
-        kernel.EVENTS["engine.fallback"] += 1
-        from .evaluator import legacy_picked_elements
-
-        return legacy_picked_elements(query, document)
-    kernel.EVENTS["engine.projected"] += 1
-    index = document_index(document)
-    run = _PlanRun(plan, index)
-    return [index.element_at(pos) for pos in run.picked_positions()]
+    return evaluate_many(query, [document])
 
 
-def evaluate_compiled(query: Query, document: Document) -> Document:
-    """Compiled-backend ``evaluate`` (same contract as the legacy one)."""
-    return evaluate_many_compiled(query, [document])
+def evaluate_many(query: Query, documents: list[Document]) -> Document:
+    """Run the query over several documents of the same source.
 
-
-def evaluate_many_compiled(query: Query, documents: list[Document]) -> Document:
-    """Compiled-backend ``evaluate_many`` (one plan, many documents)."""
+    Pick-element queries apply to one source; a source may hold many
+    documents, whose picks are concatenated in document order.  The
+    query is compiled once and the plan reused across every document.
+    """
     with obs.span("engine.evaluate") as sp:
         index_hits = _index_module._index_hits
         index_misses = _index_module._index_misses

@@ -14,50 +14,23 @@ Semantics (Section 2.1):
   whose content is the elements bound to the pick variable, in document
   order (depth-first left-to-right), each element contributed once.
 
-Two execution backends implement these semantics (selected by
-``REPRO_EVAL_BACKEND`` or :func:`set_eval_backend`, mirroring the
-language kernel's ``REPRO_EQUIV_BACKEND``):
-
-* ``"compiled"`` (the default) -- :mod:`repro.xmas.engine`: compile the
-  query once into a plan and evaluate by pick-projection over a
-  document index;
-* ``"legacy"`` -- this module's backtracking tree matcher, kept as the
-  differential-testing oracle.
-
-Both backends return picks in document order, so results are
-deterministic and identical across backends.
+Pick-element queries run on the compiled engine
+(:mod:`repro.xmas.engine`), which projects picks over a document index.
+This module's backtracking matcher enumerates complete binding
+environments.  It serves the two cases the engine cannot project:
+CONSTRUCT queries, which need every environment (:func:`bindings`), and
+plans whose variables constrain bindings beyond the injective-sibling
+rule (:func:`legacy_picked_elements`).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
-from ..xmlmodel import Document, Element, fresh_id
+from ..xmlmodel import Document, Element
 from .ast import Condition, Query
 
 Binding = dict[str, Element]
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-_BACKENDS = ("compiled", "legacy")
-_backend = os.environ.get("REPRO_EVAL_BACKEND", "compiled")
-
-
-def set_eval_backend(name: str) -> str:
-    """Set the process-wide evaluation backend; returns the old one."""
-    global _backend
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown evaluation backend {name!r}")
-    old, _backend = _backend, name
-    return old
-
-
-def eval_backend() -> str:
-    """The current process-wide evaluation backend."""
-    return _backend
 
 
 def _check_inequalities(env: Binding, query: Query) -> bool:
@@ -219,7 +192,7 @@ def bindings(query: Query, document: Document) -> Iterator[Binding]:
 
 
 def legacy_picked_elements(query: Query, document: Document) -> list[Element]:
-    """The legacy backend's pick set, document order, no repeats.
+    """The pick set by enumeration, document order, no repeats.
 
     Enumerates binding environments, short-circuiting every branch
     whose pick binding is already collected: once the pick variable's
@@ -235,48 +208,3 @@ def legacy_picked_elements(query: Query, document: Document) -> list[Element]:
     return [
         element for element in document.iter() if element.id in picked_ids
     ]
-
-
-def picked_elements(query: Query, document: Document) -> list[Element]:
-    """Elements bound to the pick variable, document order, no repeats."""
-    if _backend == "compiled":
-        from .engine import compiled_picked_elements
-
-        return compiled_picked_elements(query, document)
-    return legacy_picked_elements(query, document)
-
-
-def _view_document(query: Query, picks: list[Element]) -> Document:
-    root = Element(
-        query.view_name,
-        [element.deep_copy(fresh_ids=True) for element in picks],
-        fresh_id(),
-    )
-    return Document(root)
-
-
-def evaluate(query: Query, document: Document) -> Document:
-    """Run the query: the view document with the picked elements.
-
-    The picked elements are deep-copied with fresh IDs so the result
-    is itself a well-formed document (unique IDs).
-    """
-    return _view_document(query, picked_elements(query, document))
-
-
-def evaluate_many(query: Query, documents: list[Document]) -> Document:
-    """Run the query over several documents of the same source.
-
-    Pick-element queries apply to one source; a source may hold many
-    documents, whose picks are concatenated in document order.  Under
-    the compiled backend the query is compiled once and the plan reused
-    across every document.
-    """
-    if _backend == "compiled":
-        from .engine import evaluate_many_compiled
-
-        return evaluate_many_compiled(query, documents)
-    picks: list[Element] = []
-    for document in documents:
-        picks.extend(legacy_picked_elements(query, document))
-    return _view_document(query, picks)

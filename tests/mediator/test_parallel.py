@@ -22,6 +22,7 @@ from repro.mediator import (
     RetryPolicy,
     TransportPolicy,
 )
+from repro.mediator.parallel import MIN_TIMEOUT
 from repro.regex import kernel
 from repro.workloads.flaky import build_flaky_federation
 
@@ -180,9 +181,7 @@ class TestDerivedTimeouts:
         clock = FakeClock()
         mediator, transport = self.build_transport(clock, [0.001] * 8)
         derived = mediator.parallel.derived_timeout(transport)
-        assert derived == pytest.approx(
-            mediator.parallel.policy.min_timeout
-        )
+        assert derived == pytest.approx(MIN_TIMEOUT)
         mediator.close()
 
 

@@ -1,9 +1,9 @@
 """The hash-consing / canonical-signature kernel.
 
 Covers the interning semantics of :mod:`repro.regex.ast`, the derived
-facts carried on nodes, the signature-based equivalence backend
-against the legacy pairwise oracle (differential, on random
-expressions), and the cache registry / statistics surface of
+facts carried on nodes, signature-based equivalence against the
+product-automaton oracle in ``tests/oracles.py`` (differential, on
+random expressions), and the cache registry / statistics surface of
 :mod:`repro.regex.kernel`.
 """
 
@@ -24,16 +24,13 @@ from repro.regex import (
     canonical_signature,
     clear_caches,
     concat,
-    equivalence_backend,
     is_equivalent,
-    is_equivalent_pairwise,
     kernel_stats,
     kernel_summary,
     letters,
     matches,
     nullable,
     parse_regex,
-    set_equivalence_backend,
     size,
     star,
     sym,
@@ -41,6 +38,7 @@ from repro.regex import (
 from repro.regex import kernel
 from repro.regex.ast import Alt, Empty, Epsilon, Opt, Plus, Regex, symbols
 
+from tests.oracles import is_equivalent_pairwise
 from tests.strategies import regex_strategy
 
 
@@ -146,20 +144,6 @@ class TestSignatureEquivalence:
         assert is_equivalent(r, r)
         assert is_equivalent_pairwise(r, r)
 
-    def test_backend_switch_roundtrip(self):
-        assert equivalence_backend() == "signature"
-        old = set_equivalence_backend("pairwise")
-        try:
-            assert old == "signature"
-            assert equivalence_backend() == "pairwise"
-            assert is_equivalent(parse_regex("a, a*"), parse_regex("a+"))
-        finally:
-            set_equivalence_backend("signature")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_equivalence_backend("syntactic")
-
 
 class TestKernelRegistry:
     def test_registry_names_cover_the_language_caches(self):
@@ -171,7 +155,6 @@ class TestKernelRegistry:
             "language.signature",
             "language.signature_intern",
             "language.equiv_union_find",
-            "language.pairwise_equivalent",
             "language.subset",
             "language.is_empty",
         ):

@@ -275,6 +275,52 @@ class TestAdmissionOverSockets:
                 assert transport.gate is None
 
 
+class TestLargeResponses:
+    """Responses are framed by newline alone; the 64 KiB cap is for
+    requests, so the client must read an answer of any size whole."""
+
+    def test_union_answers_over_the_request_cap(self):
+        from repro.serve.protocol import MAX_LINE_BYTES
+        from repro.xmlmodel import serialize_document
+
+        mediator = build_serve_workload("bibdb", n_sources=4, n_docs=16)
+        expected = serialize_document(mediator.materialize_union(VIEW))
+        assert len(expected.encode("utf-8")) > MAX_LINE_BYTES
+        with MediatorServer(mediator) as server:
+            host, port = server.address
+            with ServeClient(host, port) as client:
+                # Two calls on one connection: a truncated first read
+                # would hand its unread tail to the second call.
+                first = client.union(VIEW)
+                second = client.union(VIEW)
+        assert first["answer"] == expected
+        assert second["answer"] == expected
+
+    def test_unterminated_response_is_a_closed_connection(self):
+        import socket as socket_module
+
+        from repro.serve import ServeClientError
+
+        listener = socket_module.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()
+
+        def truncating_server():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(4096)
+                conn.sendall(b'{"ok": true, "pong"')
+
+        thread = threading.Thread(target=truncating_server)
+        thread.start()
+        try:
+            with ServeClient(host, port, timeout=5) as client:
+                with pytest.raises(ServeClientError, match="closed"):
+                    client.ping()
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+
+
 class TestWarmCache:
     def cached_server(self, **kwargs):
         from repro.mediator import MatViewPolicy

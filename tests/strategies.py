@@ -110,7 +110,7 @@ def document_strategy(
 
     Element IDs come from the model's ``fresh_id`` counter, so the
     documents are well-formed (unique IDs) -- the standing assumption
-    of both evaluation backends.
+    of the evaluator.
     """
     leaves = st.one_of(
         st.builds(
@@ -139,6 +139,7 @@ def eval_query_strategy(
     max_depth: int = 3,
     view_name: str = "v",
     pick_variable: str = "P",
+    repeat_variables: bool = False,
 ):
     """Random pick-element queries for evaluator differential tests.
 
@@ -146,7 +147,11 @@ def eval_query_strategy(
     wildcards, PCDATA equality, recursive steps, extra variables, and
     ID inequalities (drawn over arbitrary variable pairs, so some
     queries exercise the compiled engine's enumeration fallback and
-    others its pick-projection path).
+    others its pick-projection path).  With ``repeat_variables`` the
+    root always has child conditions and draws at least one extra
+    variable, about half the queries bind one of their variables (the
+    pick variable included) at a second node, and every query with two
+    bound variables gets an inequality.
     """
 
     test_names = st.one_of(
@@ -157,10 +162,10 @@ def eval_query_strategy(
     )
 
     @st.composite
-    def _conditions(draw, depth):
+    def _conditions(draw, depth, branch=False):
         chosen = draw(test_names)
         recursive = chosen is not None and draw(st.integers(0, 3)) == 0
-        kind = draw(st.integers(0, 3))
+        kind = 3 if branch else draw(st.integers(0, 3))
         if kind == 0:
             return cond(
                 *(chosen or ()),
@@ -177,11 +182,15 @@ def eval_query_strategy(
 
     @st.composite
     def _queries(draw):
-        root = draw(_conditions(0))
+        root = draw(_conditions(0, branch=repeat_variables))
         nodes = list(root.iter_nodes())
         pick_index = draw(st.integers(0, len(nodes) - 1))
         extra_vars = draw(
-            st.sets(st.sampled_from(("A", "B", "C")), max_size=2)
+            st.sets(
+                st.sampled_from(("A", "B", "C")),
+                min_size=int(repeat_variables),
+                max_size=2,
+            )
         )
         variables: list[str | None] = [None] * len(nodes)
         variables[pick_index] = pick_variable
@@ -189,6 +198,10 @@ def eval_query_strategy(
             slot = draw(st.integers(0, len(nodes) - 1))
             if variables[slot] is None:
                 variables[slot] = extra
+        unbound = [i for i, v in enumerate(variables) if v is None]
+        if repeat_variables and unbound and draw(st.booleans()):
+            repeated = draw(st.sampled_from(sorted(set(variables) - {None})))
+            variables[draw(st.sampled_from(unbound))] = repeated
         counter = [-1]
 
         def rebuild(node):
@@ -201,9 +214,9 @@ def eval_query_strategy(
             )
 
         rebuilt = rebuild(root)
-        bound = sorted(v for v in variables if v is not None)
+        bound = sorted({v for v in variables if v is not None})
         inequalities = []
-        if len(bound) >= 2 and draw(st.booleans()):
+        if len(bound) >= 2 and (repeat_variables or draw(st.booleans())):
             pair = draw(
                 st.lists(
                     st.sampled_from(bound), min_size=2, max_size=2, unique=True

@@ -130,24 +130,23 @@ class TestEvaluateValidate:
         assert "<journal>J</journal>" in out
 
     def test_evaluate_alias_and_backends(self, files, capsys):
-        outputs = []
-        for backend in ("legacy", "compiled"):
-            assert (
-                main(
-                    [
-                        "eval",
-                        "--query",
-                        files["query"],
-                        "--backend",
-                        backend,
-                        files["doc"],
-                    ]
-                )
-                == 0
+        assert main(["eval", "--query", files["query"], files["doc"]]) == 0
+        assert "<journal>J</journal>" in capsys.readouterr().out
+
+    def test_backend_flag_is_a_usage_error(self, files, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "eval",
+                    "--query",
+                    files["query"],
+                    "--backend",
+                    "compiled",
+                    files["doc"],
+                ]
             )
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert "<journal>J</journal>" in outputs[0]
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_evaluate_stats_reports_engine_caches(self, files, capsys):
         assert (
@@ -156,8 +155,6 @@ class TestEvaluateValidate:
                     "evaluate",
                     "--query",
                     files["query"],
-                    "--backend",
-                    "compiled",
                     "--stats",
                     files["doc"],
                 ]
@@ -205,17 +202,10 @@ class TestAsk:
         assert "<name>Y</name>" in out
 
     def test_ask_backends_agree(self, files, tmp_path, capsys):
-        outputs = []
-        for backend in ("legacy", "compiled"):
-            assert (
-                self._ask(
-                    files, tmp_path, "--backend", backend, "--strategy",
-                    "materialize",
-                )
-                == 0
-            )
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert self._ask(files, tmp_path, "--strategy", "materialize") == 0
+        out = capsys.readouterr().out
+        assert "<picks>" in out
+        assert "<name>Y</name>" in out
 
     def test_ask_explain(self, files, tmp_path, capsys):
         assert self._ask(files, tmp_path, "--explain") == 0

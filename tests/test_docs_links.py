@@ -45,10 +45,33 @@ class TestChecker:
         # the pytest selector's file is genuinely missing here
         assert len(problems) == 1 and "tests/foo.py" in problems[0]
 
+    def test_stale_environment_variables_are_caught(
+        self, tmp_path, monkeypatch
+    ):
+        checker = load_checker()
+        monkeypatch.setattr(checker, "REPO", tmp_path)
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "config.py").write_text(
+            'import os\nLIVE = os.environ.get("REPRO_LIVE")\n'
+        )
+        doc = tmp_path / "README.md"
+        doc.write_text(
+            "Set `REPRO_LIVE=1` to enable it.\n"
+            "`REPRO_STALE=legacy` selects a removed backend.\n"
+        )
+        history = tmp_path / "CHANGES.md"
+        history.write_text("PR 1 added REPRO_STALE.\n")
+        problems = checker.check_environment_variables([doc, history])
+        assert problems == [
+            "README.md:2: environment variable REPRO_STALE is not read"
+            " anywhere under src/"
+        ]
+
     def test_repo_markdown_corpus_is_clean(self):
         """README + docs must not drift from the tree (make check-docs)."""
         checker = load_checker()
         problems = []
         for doc in checker.DOC_FILES:
             problems.extend(checker.check_file(doc))
+        problems.extend(checker.check_environment_variables(checker.DOC_FILES))
         assert problems == []

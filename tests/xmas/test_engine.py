@@ -7,14 +7,12 @@ import pytest
 from repro.regex import clear_caches, kernel_stats
 from repro.xmas import (
     compile_query,
-    compiled_picked_elements,
     cond,
-    eval_backend,
     evaluate,
-    evaluate_compiled,
+    legacy_picked_elements,
     parse_query,
+    picked_elements,
     query as make_query,
-    set_eval_backend,
 )
 from repro.xmas.engine import hopcroft_karp
 from repro.xmlmodel import Document, DocumentIndex, document_index, elem, parse_document, text_elem
@@ -165,13 +163,10 @@ class TestCompiledEvaluation:
     def test_matches_legacy_on_paper_query(self, dept_doc):
         from repro.workloads.paper import q2
 
-        old = set_eval_backend("legacy")
-        try:
-            legacy = evaluate(q2(), dept_doc)
-        finally:
-            set_eval_backend(old)
-        compiled = evaluate_compiled(q2(), dept_doc)
-        assert compiled.root.structurally_equal(legacy.root)
+        legacy = legacy_picked_elements(q2(), dept_doc)
+        compiled = evaluate(q2(), dept_doc).root.children
+        assert len(compiled) == len(legacy)
+        assert all(c.structurally_equal(e) for c, e in zip(compiled, legacy))
 
     def test_sibling_injectivity(self):
         # one journal cannot satisfy two sibling journal conditions
@@ -181,11 +176,11 @@ class TestCompiledEvaluation:
         q = parse_query(
             "v = SELECT X WHERE X:<professor> <journal/> <journal/> </>"
         )
-        assert compiled_picked_elements(q, doc) == []
+        assert picked_elements(q, doc) == []
         doc2 = parse_document(
             "<professor><journal>J1</journal><journal>J2</journal></professor>"
         )
-        assert len(compiled_picked_elements(q, doc2)) == 1
+        assert len(picked_elements(q, doc2)) == 1
 
     def test_recursive_chain_interval_scan(self):
         doc = parse_document(
@@ -195,7 +190,7 @@ class TestCompiledEvaluation:
         q = parse_query(
             "v = SELECT S WHERE <report> S:<section*><title>deep</title></> </>"
         )
-        picks = compiled_picked_elements(q, doc)
+        picks = picked_elements(q, doc)
         assert [p.children[0].text for p in picks] == ["deep"]
 
     def test_picked_identity_and_order(self, dept_doc):
@@ -203,7 +198,7 @@ class TestCompiledEvaluation:
             "pubs = SELECT P WHERE <department> <professor | gradStudent>"
             " P:<publication/> </> </>"
         )
-        picks = compiled_picked_elements(q, dept_doc)
+        picks = picked_elements(q, dept_doc)
         # the picks are the document's own elements, in document order
         order = [e.id for e in dept_doc.iter()]
         positions = [order.index(p.id) for p in picks]
@@ -215,15 +210,8 @@ class TestCompiledEvaluation:
         root = cond("a", var="A", children=(cond("b", var="P"),))
         q = make_query("v", "P", root, inequalities=[("A", "P")])
         doc = Document(elem("a", text_elem("b", "t")))
-        assert len(compiled_picked_elements(q, doc)) == 1
+        assert len(picked_elements(q, doc)) == 1
         assert kernel_stats()["events"].get("engine.fallback", 0) == 1
-
-    def test_default_backend_is_compiled(self):
-        assert eval_backend() in ("compiled", "legacy")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_eval_backend("nonsense")
 
 
 class TestDeepDocuments:
@@ -255,15 +243,11 @@ class TestDeepDocuments:
         q = parse_query(
             "v = SELECT S WHERE <report> S:<section*><leaf/></> </>"
         )
-        old = set_eval_backend("compiled")
-        try:
-            answer = evaluate(q, doc)
-        finally:
-            set_eval_backend(old)
+        answer = evaluate(q, doc)
         # only the innermost section holds the leaf
         assert len(answer.root.children) == 1
         assert answer.root.children[0].name == "section"
         # picking every chain element also works (index-backed)
         q_all = parse_query("v = SELECT S WHERE <report> S:<section*/> </>")
-        picks = compiled_picked_elements(q_all, doc)
+        picks = picked_elements(q_all, doc)
         assert len(picks) == self.DEPTH

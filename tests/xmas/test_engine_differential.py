@@ -1,25 +1,33 @@
-"""Differential tests: compiled engine vs. the legacy evaluator.
+"""Differential tests: pick-projection vs. full binding enumeration.
 
-The legacy backtracking evaluator is the oracle: on random documents
-and random pick-element queries (wildcards, disjunctions, PCDATA
-conditions, recursive steps, extra variables, ID inequalities) both
-backends must produce *identical* view documents -- same pick
-elements, same document order, same copied structure.
+The backtracking matcher's enumeration (``legacy_picked_elements``) is
+the oracle: on random documents and random pick-element queries
+(wildcards, disjunctions, PCDATA conditions, recursive steps, extra
+variables, ID inequalities) the compiled engine must produce
+*identical* view documents -- same pick elements, same document order,
+same copied structure.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 from hypothesis import given, settings
 
 from repro.xmas import (
+    bindings,
     compile_query,
-    compiled_picked_elements,
     evaluate,
-    evaluate_compiled,
     legacy_picked_elements,
-    set_eval_backend,
+    picked_elements,
 )
+from repro.xmlmodel import Document, Element
 from tests.strategies import document_strategy, eval_query_strategy
+
+
+def _ids(elements):
+    return [element.id for element in elements]
 
 
 @settings(max_examples=200, deadline=None)
@@ -27,8 +35,8 @@ from tests.strategies import document_strategy, eval_query_strategy
 def test_picked_elements_agree(document, query):
     """Same pick ids, same order -- the strongest agreement check."""
     legacy = legacy_picked_elements(query, document)
-    compiled = compiled_picked_elements(query, document)
-    assert [e.id for e in compiled] == [e.id for e in legacy]
+    compiled = picked_elements(query, document)
+    assert _ids(compiled) == _ids(legacy)
 
 
 @settings(max_examples=100, deadline=None)
@@ -36,12 +44,16 @@ def test_picked_elements_agree(document, query):
 def test_view_documents_agree(document, query):
     """The constructed views agree in structure and order (fresh IDs
     legitimately differ)."""
-    old = set_eval_backend("legacy")
-    try:
-        legacy_view = evaluate(query, document)
-    finally:
-        set_eval_backend(old)
-    compiled_view = evaluate_compiled(query, document)
+    legacy_view = Document(
+        Element(
+            query.view_name,
+            [
+                element.deep_copy(fresh_ids=True)
+                for element in legacy_picked_elements(query, document)
+            ],
+        )
+    )
+    compiled_view = evaluate(query, document)
     assert compiled_view.root.structurally_equal(legacy_view.root)
 
 
@@ -59,16 +71,28 @@ def test_plan_compilation_idempotent(query):
     assert again == first
 
 
-@settings(max_examples=60, deadline=None)
-@given(document=document_strategy(), query=eval_query_strategy())
-def test_dispatch_respects_backend(document, query):
-    """The public entry point yields identical answers under both
-    ``REPRO_EVAL_BACKEND`` values."""
-    old = set_eval_backend("legacy")
-    try:
-        via_legacy = evaluate(query, document)
-        set_eval_backend("compiled")
-        via_compiled = evaluate(query, document)
-    finally:
-        set_eval_backend(old)
-    assert via_compiled.root.structurally_equal(via_legacy.root)
+@settings(max_examples=300, deadline=None)
+@given(
+    document=document_strategy(),
+    query=eval_query_strategy(repeat_variables=True),
+)
+def test_distinct_nodes_never_bind_one_element(document, query):
+    """Under injective sibling binding, two condition nodes never bind
+    the same element.  So, by enumeration:
+
+    * a variable bound at two nodes leaves no complete environment;
+    * an inequality between variables bound at one node each never
+      changes the answer.
+    """
+    counts = Counter(
+        node.variable
+        for node in query.root.iter_nodes()
+        if node.variable is not None
+    )
+    if max(counts.values()) > 1:
+        assert next(bindings(query, document), None) is None
+    else:
+        unconstrained = replace(query, inequalities=frozenset())
+        assert _ids(legacy_picked_elements(query, document)) == _ids(
+            legacy_picked_elements(unconstrained, document)
+        )
