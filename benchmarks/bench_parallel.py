@@ -5,16 +5,20 @@ The PR 7 performance claim has three parts, each pinned here:
 1. **Single-source overhead < 5%** (gate).  A mediator configured with
    a :class:`FanoutPolicy` serves a one-branch union through the
    inline path — no threads, no pool.  The parallel machinery (cost
-   model probe, inline dispatch) must cost < 5% over the classic
-   sequential mediator on the compiled-engine serving path.
+   model probe, inline dispatch) must cost < 5% over a ``fanout=None``
+   mediator on the compiled-engine serving path.  Every union now
+   goes through ``ParallelTransport.fan_out``, so the gate measures
+   real inline dispatch on both sides (a one-branch union used to skip
+   the transport on both); the configured side adds the cost-model
+   probe.
 2. **4-source fan-out within 1.3× the slowest source** (gate).  On the
    *system* clock, four sources with equal injected latency L answer a
-   union in ≤ 1.3 L when fanned out in parallel, where the sequential
-   loop needs ~4 L.  Real sleeps, real threads — this is the
-   wall-clock claim the serving front end inherits.
+   union in ≤ 1.3 L when fanned out in parallel, where inline fan-out
+   (``fanout=None``) needs ~4 L.  Real sleeps, real threads — this is
+   the wall-clock claim the serving front end inherits.
 3. **Virtual-time economics** (recorded).  The same federation on
    :class:`FakeClock`: parallel virtual cost = max(latencies),
-   sequential = sum(latencies) — exact, deterministic, asserted.
+   inline = sum(latencies) — exact, deterministic, asserted.
 
 ``extra_info`` carries the measured ratios so ``BENCH_PR7.json``
 records the claim machine-readably (docs/PERFORMANCE.md).
@@ -106,7 +110,7 @@ class TestSingleSourceOverhead:
         # The single-branch union never touches the pool.
         assert parallel.parallel.parallel_fanouts == 0
         assert overhead < 0.05, (
-            f"inline fan-out costs {overhead:.1%} over the sequential "
+            f"a FanoutPolicy costs {overhead:.1%} over a fanout=None "
             "mediator on a single-source union"
         )
         parallel.close()
@@ -155,7 +159,7 @@ class TestWallClockFanout:
             f"parallel 4-source union took {ratio:.2f}x the slowest "
             f"source (gate: 1.3x)"
         )
-        # The sequential loop really does pay the sum (sanity for the
+        # Inline fan-out really does pay the sum (sanity for the
         # speedup headline; generous bound to stay timing-robust).
         assert elapsed_sequential >= 3.5 * LATENCY
         parallel.close()

@@ -23,7 +23,10 @@ CHANGES.md, docs/*.md) and verifies that
 5. every **``REPRO_*`` environment variable** the prose names is read
    somewhere under ``src/`` (appears there as a string literal), so a
    removed switch cannot live on in the docs.  CHANGES.md is history
-   and is exempt.
+   and is exempt;
+6. every **span name** passed literally to ``obs.span(...)`` or
+   ``obs.start_span(...)`` under ``src/`` has a row in the span
+   catalogue of ``docs/OBSERVABILITY.md``.
 
 Exit status: 0 when everything resolves, 1 otherwise (one line per
 broken reference).  Wired into ``make check-docs`` / ``make check``.
@@ -31,6 +34,7 @@ broken reference).  Wired into ``make check-docs`` / ``make check``.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -60,6 +64,8 @@ PATH_TOKEN = re.compile(
     r"(?::(\d+))?$"
 )
 ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+SPAN_CATALOGUE = "## Span catalogue"
+SPAN_ROW = re.compile(r"^\| `([^`]+)` \|", re.MULTILINE)
 
 
 def iter_md_links(text: str):
@@ -175,6 +181,44 @@ def check_environment_variables(docs: list[Path]) -> list[str]:
     return problems
 
 
+def check_span_catalogue() -> list[str]:
+    """Every span name ``src/`` opens must be in the span catalogue."""
+    doc = (REPO / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    section = doc.partition(SPAN_CATALOGUE)[2].partition("\n## ")[0]
+    catalogued = set(SPAN_ROW.findall(section))
+    problems = []
+    for path in sorted((REPO / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        spans = sorted(
+            (node.lineno, name)
+            for node in ast.walk(tree)
+            if (name := _span_name(node)) is not None
+        )
+        problems.extend(
+            f"{path.relative_to(REPO)}:{line}: span {name} "
+            "is not in the docs/OBSERVABILITY.md span catalogue"
+            for line, name in spans
+            if name not in catalogued
+        )
+    return problems
+
+
+def _span_name(node: ast.AST) -> str | None:
+    """The literal name of an ``obs.span(...)``/``obs.start_span(...)``."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("span", "start_span")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "obs"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ):
+        return None
+    return node.args[0].value
+
+
 def main() -> int:
     problems = []
     for doc in DOC_FILES:
@@ -182,6 +226,7 @@ def main() -> int:
     problems.extend(check_diagnostic_catalogue())
     problems.extend(check_readme_inventory())
     problems.extend(check_environment_variables(DOC_FILES))
+    problems.extend(check_span_catalogue())
     for problem in problems:
         print(problem)
     checked = ", ".join(str(p.relative_to(REPO)) for p in DOC_FILES)

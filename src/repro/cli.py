@@ -805,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="parallel fan-out workers (0 = sequential fan-out)",
+        help="parallel fan-out workers (0 = inline fan-out)",
     )
     p.add_argument(
         "--max-inflight",

@@ -14,7 +14,9 @@ valid sub-conditions are pruned before evaluation.
 
 from __future__ import annotations
 
+import contextlib
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .. import obs
@@ -33,7 +35,7 @@ from ..inference import (
 )
 from ..xmas import CompiledPlan, Query, compile_query, evaluate_many
 from ..xmas.engine import enable_provenance, provenance_of
-from ..xmlmodel import Document
+from ..xmlmodel import Document, Element, fresh_id
 from .matview import (
     CacheLeg,
     MatViewCache,
@@ -51,6 +53,14 @@ from .transport import (
     SystemClock,
     TransportPolicy,
 )
+
+#: The fan-out of ``Mediator(fanout=None)``: union legs run one after
+#: another on the caller's thread, in branch order, under the policy's
+#: timeouts only.
+INLINE = FanoutPolicy(max_workers=1, cost_aware=False)
+
+#: A request's matview cache key and the source legs it reads.
+CacheEntry = tuple[tuple, tuple[CacheLeg, ...]]
 
 
 @dataclass
@@ -139,10 +149,10 @@ class UnionViewRegistration:
     branches: list
     source_names: list[str]
     inference: "UnionInferenceResult"
-    #: lazily memoized matview cache key (branch plan signatures are
-    #: stable once registered; rebuilding them per request would tax
-    #: the cache's hit path)
-    _cache_key: tuple | None = field(
+    #: lazily memoized matview cache key and legs (branch plan
+    #: signatures are stable once registered; rebuilding them per
+    #: request would tax the cache's hit path)
+    _cache_entry: CacheEntry | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -189,15 +199,9 @@ class Mediator:
         #: every registered source; see docs/RELIABILITY.md
         self.policy = policy or TransportPolicy()
         self.clock: Clock = clock or SystemClock()
-        #: parallel union fan-out (None = the legacy sequential loop,
-        #: which later legs' deadline arithmetic depends on — existing
-        #: single-threaded callers keep byte-identical behavior)
-        self.fanout = fanout
-        self.parallel: ParallelTransport | None = (
-            ParallelTransport(self.clock, fanout)
-            if fanout is not None
-            else None
-        )
+        #: the union fan-out (``fanout=None`` runs legs inline, see
+        #: :data:`INLINE`)
+        self.parallel = ParallelTransport(self.clock, fanout or INLINE)
         #: the materialized-view answer cache (None = uncached, the
         #: classic re-evaluate-everything mediator); accepts a policy
         #: (private cache) or a ready MatViewCache (shared warm cache)
@@ -211,7 +215,6 @@ class Mediator:
             if self.matview.policy.enabled and self.matview.policy.delta:
                 # Delta splicing needs the engine's pick provenance.
                 enable_provenance()
-        self._union_legs: dict[str, tuple[CacheLeg, ...]] = {}
         self.sources: dict[str, Source] = {}
         self.transports: dict[str, SourceTransport] = {}
         self.views: dict[str, ViewRegistration] = {}
@@ -220,10 +223,7 @@ class Mediator:
         #: counter increments on concurrently-served paths (repro.serve
         #: answers one mediator from many handler threads)
         self._stats_lock = threading.Lock()
-        #: the diagnostics of the most recent pre-flight (inspection aid)
-        self.last_preflight = None
         self._tls = threading.local()
-        self._preflight_cache: dict = {}
 
     @property
     def last_degradation(self) -> DegradationReport | None:
@@ -278,8 +278,7 @@ class Mediator:
 
     def close(self) -> None:
         """Release the parallel fan-out worker pool (idempotent)."""
-        if self.parallel is not None:
-            self.parallel.close()
+        self.parallel.close()
 
     def health(self) -> dict[str, dict]:
         """Per-source transport health: breaker states, retries, ...
@@ -351,27 +350,29 @@ class Mediator:
             registration.source_name, registration.query, deadline
         )
 
-    def preflight(self, query: Query, view_name: str):
+    def preflight(
+        self, query: Query, view_name: str, cache: dict | None = None
+    ):
         """Static pre-flight: lint a query against the view DTD.
 
         Runs the query-scope lint rules (one uncollapsed Tighten run)
         and returns the :class:`~repro.lint.DiagnosticReport`.  An
         error-severity finding (a provably-empty ``MIX101`` dead path)
-        means the mediator can answer without any source fan-out; the
-        run's shared cache is kept so :meth:`query_view` hands the same
-        Tighten result to the simplifier -- pre-flight plus
-        simplification cost one classification, not two.
+        means the mediator can answer without any source fan-out.  The
+        run fills the caller's ``cache`` (as ``lint_query(cache=)``
+        does), so :meth:`query_view` hands the same Tighten result to
+        the simplifier -- pre-flight plus simplification cost one
+        classification, not two.
         """
         from ..lint import lint_query
 
         registration = self._view(view_name)
-        cache: dict = {}
-        report = lint_query(
-            query, registration.dtd, mode=self.mode, cache=cache
+        return lint_query(
+            query,
+            registration.dtd,
+            mode=self.mode,
+            cache=cache if cache is not None else {},
         )
-        self.last_preflight = report
-        self._preflight_cache = cache
-        return report
 
     def query_view(
         self,
@@ -417,54 +418,29 @@ class Mediator:
         self.last_degradation = None
         effective = query
         run_preflight = use_simplifier if preflight is None else preflight
-        mv = self.matview
-        token = None
-        if mv is not None and mv.policy.enabled:
-            if not cache:
-                self.last_cache_outcome = "bypass"
-                mv.note_bypass()
-            else:
-                key = (
-                    "query",
-                    view_name,
-                    query_signature(query),
-                    use_simplifier,
-                    strategy,
-                    run_preflight,
-                )
-                legs = (
-                    CacheLeg(
-                        registration.source_name,
-                        self.sources[registration.source_name],
-                        None,
-                    ),
-                )
-                outcome = mv.probe(key, view_name, None, legs)
-                if outcome.answer is not None:
-                    self.last_cache_outcome = outcome.status
-                    return outcome.answer
-                self.last_cache_outcome = "miss"
-                token = outcome.token
-        elif mv is not None:
-            self.last_cache_outcome = "disabled"
-        else:
-            self.last_cache_outcome = "off"
+        cached, token = self._cache_step(
+            cache,
+            lambda: self._query_cache_entry(
+                query, view_name, use_simplifier, strategy, run_preflight
+            ),
+            view_name,
+            None,
+        )
+        if cached is not None:
+            return cached
         tightening = None
         with obs.span("mediator.query_view") as sp:
             sp.set_attribute("view", view_name)
             if run_preflight:
-                report = self.preflight(query, view_name)
-                tightening = self._preflight_cache.get("tighten")
+                shared: dict = {}
+                report = self.preflight(query, view_name, cache=shared)
+                tightening = shared.get("tighten")
                 if report.has_errors:
                     self.stats.preflight_rejections += 1
                     self.stats.fanouts_skipped += 1
                     self.stats.answered_without_source += 1
                     sp.set_attribute("outcome", "preflight_rejected")
-                    from ..xmlmodel import Element, fresh_id
-
-                    return Document(
-                        Element(query.view_name, [], fresh_id())
-                    )
+                    return _empty_answer(query.view_name)
             if use_simplifier:
                 decision: SimplifierDecision = simplify_query(
                     query, registration.dtd, self.mode, tightening=tightening
@@ -472,11 +448,7 @@ class Mediator:
                 if decision.answer_is_empty:
                     self.stats.answered_without_source += 1
                     sp.set_attribute("outcome", "simplified_empty")
-                    from ..xmlmodel import Element, fresh_id
-
-                    return Document(
-                        Element(query.view_name, [], fresh_id())
-                    )
+                    return _empty_answer(query.view_name)
                 self.stats.conditions_pruned += decision.pruned_nodes
                 effective = decision.query
             try:
@@ -496,15 +468,15 @@ class Mediator:
                         if token is not None:
                             # A composed source query re-runs cleanly
                             # over a single document: delta-capable.
-                            assert mv is not None
+                            assert self.matview is not None
                             token.legs = (
                                 CacheLeg(
                                     registration.source_name,
-                                    self.sources[registration.source_name],
+                                    source,
                                     composed,
                                 ),
                             )
-                            mv.store(
+                            self.matview.store(
                                 token, answer, [provenance_of(answer)]
                             )
                         return answer
@@ -519,8 +491,8 @@ class Mediator:
                     # The answer's provenance points at the transient
                     # materialized view, not at source documents, so
                     # this entry is recompute-only.
-                    assert mv is not None
-                    mv.store(token, answer, [None])
+                    assert self.matview is not None
+                    self.matview.store(token, answer, [None])
                 return answer
             except (SourceTimeout, SourceUnavailable) as error:
                 if not degrade:
@@ -535,6 +507,59 @@ class Mediator:
                     query.view_name, registration.source_name, error
                 )
 
+    def _cache_step(
+        self,
+        cache: bool,
+        entry: Callable[[], CacheEntry],
+        view_name: str,
+        dtd: Dtd | None,
+    ) -> tuple:
+        """The matview cache step both answering paths share.
+
+        Records this thread's :attr:`last_cache_outcome` and returns
+        ``(answer, token)``: a cached answer to return as is, or the
+        token a fresh answer is stored under (None = do not store).
+        ``entry`` builds the request's ``(key, legs)`` and is called
+        only when the cache is probed.
+        """
+        mv = self.matview
+        answer = token = None
+        if mv is None:
+            outcome = "off"
+        elif not mv.policy.enabled:
+            outcome = "disabled"
+        elif not cache:
+            mv.note_bypass()
+            outcome = "bypass"
+        else:
+            key, legs = entry()
+            probe = mv.probe(key, view_name, dtd, legs)
+            answer, token = probe.answer, probe.token
+            outcome = probe.status if answer is not None else "miss"
+        self.last_cache_outcome = outcome
+        return answer, token
+
+    def _query_cache_entry(
+        self,
+        query: Query,
+        view_name: str,
+        use_simplifier: bool = True,
+        strategy: str = "auto",
+        preflight: bool = True,
+    ) -> CacheEntry:
+        """The matview ``(key, legs)`` of a query against a view; the
+        defaults are :meth:`query_view`'s, which :meth:`explain` plans."""
+        source_name = self._view(view_name).source_name
+        key = (
+            "query",
+            view_name,
+            query_signature(query),
+            use_simplifier,
+            strategy,
+            preflight,
+        )
+        return key, (CacheLeg(source_name, self.sources[source_name], None),)
+
     def _degraded_empty_answer(
         self, answer_name: str, source_name: str, error: MediatorError
     ) -> Document:
@@ -546,8 +571,6 @@ class Mediator:
         published DTD, so there is nothing to validate here — view
         materializations go through the validating union path instead.
         """
-        from ..xmlmodel import Element, fresh_id
-
         report = DegradationReport(
             view_name=answer_name,
             skipped={source_name: f"{error.code}: {error}"},
@@ -555,7 +578,7 @@ class Mediator:
         with self._stats_lock:
             self.stats.degraded_answers += 1
         self.last_degradation = report
-        return Document(Element(answer_name, [], fresh_id()))
+        return _empty_answer(answer_name)
 
     def as_source(self, view_name: str) -> Source:
         """Export a view as a source for a higher-level mediator.
@@ -584,18 +607,21 @@ class Mediator:
         is attached as :attr:`QueryPlan.trace_lines` -- ``describe()``
         shows where the plan's time and decisions went.
         """
-        scope = None
-        if not obs.enabled():
-            scope = obs.traced(clock=self.clock)
-            scope.__enter__()
-        try:
+        return self._traced_plan(
+            view_name, lambda: self._explain_plan(query, view_name)
+        )
+
+    def _traced_plan(self, view_name: str, build) -> "QueryPlan":
+        """Run ``build`` under a ``mediator.explain`` span and attach the
+        rendered span tree (a scoped tracer when none is active)."""
+        with contextlib.ExitStack() as scope:
+            if not obs.enabled():
+                scope.enter_context(obs.traced(clock=self.clock))
             with obs.span("mediator.explain") as sp:
                 sp.set_attribute("view", view_name)
-                plan = self._explain_plan(query, view_name)
+                plan = build()
                 sp.set_attribute("strategy", plan.strategy)
-        finally:
-            if scope is not None:
-                scope.__exit__(None, None, None)
+                sp.set_attribute("cache", plan.cache_status)
         plan.trace_lines = sp.render().splitlines()
         return plan
 
@@ -619,22 +645,9 @@ class Mediator:
         transport = self.transports.get(registration.source_name)
         cache_status = "off"
         if self.matview is not None:
-            key = (
-                "query",
-                view_name,
-                query_signature(query),
-                True,
-                "auto",
-                True,
+            cache_status = self.matview.peek(
+                *self._query_cache_entry(query, view_name)
             )
-            legs = (
-                CacheLeg(
-                    registration.source_name,
-                    self.sources[registration.source_name],
-                    None,
-                ),
-            )
-            cache_status = self.matview.peek(key, legs)
         return QueryPlan(
             view_name=view_name,
             classification=decision.classification,
@@ -656,38 +669,28 @@ class Mediator:
         touching any source or mutating the cache.
         """
         registration = self._union_view(view_name)
-        scope = None
-        if not obs.enabled():
-            scope = obs.traced(clock=self.clock)
-            scope.__enter__()
-        try:
-            with obs.span("mediator.explain") as sp:
-                sp.set_attribute("view", view_name)
-                cache_status = "off"
-                if self.matview is not None:
-                    cache_status = self.matview.peek(
-                        self._union_cache_key(registration),
-                        self._union_cache_legs(registration),
-                    )
-                sp.set_attribute("cache", cache_status)
-                plan = QueryPlan(
-                    view_name=view_name,
-                    classification=None,
-                    pruned_nodes=0,
-                    strategy="union-fanout",
-                    composed_query=None,
-                    effective_query=None,
-                    source_health=[
-                        self.transports[name].health()
-                        for name in registration.source_names
-                    ],
-                    cache_status=cache_status,
+
+        def build() -> QueryPlan:
+            cache_status = "off"
+            if self.matview is not None:
+                cache_status = self.matview.peek(
+                    *self._union_cache_entry(registration)
                 )
-        finally:
-            if scope is not None:
-                scope.__exit__(None, None, None)
-        plan.trace_lines = sp.render().splitlines()
-        return plan
+            return QueryPlan(
+                view_name=view_name,
+                classification=None,
+                pruned_nodes=0,
+                strategy="union-fanout",
+                composed_query=None,
+                effective_query=None,
+                source_health=[
+                    self.transports[name].health()
+                    for name in registration.source_names
+                ],
+                cache_status=cache_status,
+            )
+
+        return self._traced_plan(view_name, build)
 
     # -- union views -------------------------------------------------------
 
@@ -726,33 +729,28 @@ class Mediator:
         self.union_views[view_name] = registration
         return registration
 
-    def _union_cache_key(
+    def _union_cache_entry(
         self, registration: "UnionViewRegistration"
-    ) -> tuple:
-        if registration._cache_key is None:
-            registration._cache_key = (
-                "union",
-                registration.name,
+    ) -> CacheEntry:
+        """The matview ``(key, legs)`` of a union view (memoized)."""
+        if registration._cache_entry is None:
+            registration._cache_entry = (
+                (
+                    "union",
+                    registration.name,
+                    tuple(
+                        query_signature(branch.query)
+                        for branch in registration.branches
+                    ),
+                ),
                 tuple(
-                    query_signature(branch.query)
-                    for branch in registration.branches
+                    CacheLeg(name, self.sources[name], branch.query)
+                    for branch, name in zip(
+                        registration.branches, registration.source_names
+                    )
                 ),
             )
-        return registration._cache_key
-
-    def _union_cache_legs(
-        self, registration: "UnionViewRegistration"
-    ) -> tuple[CacheLeg, ...]:
-        legs = self._union_legs.get(registration.name)
-        if legs is None:
-            legs = tuple(
-                CacheLeg(source_name, self.sources[source_name], branch.query)
-                for branch, source_name in zip(
-                    registration.branches, registration.source_names
-                )
-            )
-            self._union_legs[registration.name] = legs
-        return legs
+        return registration._cache_entry
 
     def materialize_union(
         self,
@@ -764,14 +762,14 @@ class Mediator:
         """Evaluate a union view across its sources (fault-tolerant).
 
         Each branch is one fan-out leg through its source's transport;
-        all legs share ``deadline``.  With a :class:`FanoutPolicy`
-        configured the legs run concurrently on the mediator's
-        :class:`~repro.mediator.parallel.ParallelTransport` — a union
+        all legs share ``deadline``.  The legs go out through the
+        mediator's :class:`~repro.mediator.parallel.ParallelTransport`:
+        with a :class:`FanoutPolicy` they run concurrently — a union
         over N sources costs the max, not the sum, of their latencies —
-        otherwise they run in the legacy sequential loop.  Either way
-        the answer (picks in branch order), the degradation report,
-        and the ``degrade=False`` error (the first failing branch in
-        branch order) are the same.
+        and with ``fanout=None`` they run inline (:data:`INLINE`).
+        Either way the answer (picks in branch order), the degradation
+        report, and the ``degrade=False`` error (the first failing
+        branch in branch order) are the same.
 
         When a leg fails permanently and ``degrade`` is true, its
         branch is skipped and the *partial* answer — the surviving
@@ -791,83 +789,45 @@ class Mediator:
         request (``MED006``).  Degraded answers are never cached.  See
         docs/PERFORMANCE.md.
         """
-        from ..xmlmodel import Element, fresh_id
-
         registration = self._union_view(view_name)
         self.last_degradation = None
-        mv = self.matview
-        token = None
-        if mv is not None and mv.policy.enabled:
-            if not cache:
-                self.last_cache_outcome = "bypass"
-                mv.note_bypass()
-            else:
-                outcome = mv.probe(
-                    self._union_cache_key(registration),
-                    view_name,
-                    registration.dtd,
-                    self._union_cache_legs(registration),
-                )
-                if outcome.answer is not None:
-                    self.last_cache_outcome = outcome.status
-                    return outcome.answer
-                self.last_cache_outcome = "miss"
-                token = outcome.token
-        elif mv is not None:
-            self.last_cache_outcome = "disabled"
-        else:
-            self.last_cache_outcome = "off"
+        cached, token = self._cache_step(
+            cache,
+            lambda: self._union_cache_entry(registration),
+            view_name,
+            registration.dtd,
+        )
+        if cached is not None:
+            return cached
         report = DegradationReport(view_name=view_name)
         picks: list = []
         first_error: MediatorError | None = None
-        legs = list(
-            zip(registration.branches, registration.source_names)
-        )
-        use_parallel = self.parallel is not None and len(legs) > 1
         with obs.span("mediator.materialize_union") as sp:
             sp.set_attribute("view", view_name)
             sp.set_attribute("sources", len(registration.source_names))
-            sp.set_attribute(
-                "fanout", "parallel" if use_parallel else "sequential"
+            results = self.parallel.fan_out(
+                [
+                    (self.transports[source_name], branch.query)
+                    for branch, source_name in zip(
+                        registration.branches, registration.source_names
+                    )
+                ],
+                deadline,
             )
-            if use_parallel:
-                results = self.parallel.fan_out(
-                    [
-                        (self.transports[source_name], branch.query)
-                        for branch, source_name in legs
-                    ],
-                    deadline,
-                )
-                outcomes = [
-                    (source_name, result.answer, result.error)
-                    for (_, source_name), result in zip(legs, results)
-                ]
-            else:
-                outcomes = []
-                for branch, source_name in legs:
-                    try:
-                        answer = self._call_source(
-                            source_name, branch.query, deadline
-                        )
-                    except (SourceTimeout, SourceUnavailable) as error:
-                        if not degrade:
-                            raise
-                        outcomes.append((source_name, None, error))
-                        continue
-                    outcomes.append((source_name, answer, None))
-            for source_name, answer, error in outcomes:
+            for result in results:
+                error = result.error
                 if error is not None:
                     if not degrade:
                         raise error
                     if first_error is None:
                         first_error = error
-                    report.skipped[source_name] = f"{error.code}: {error}"
+                    report.skipped[result.source] = f"{error.code}: {error}"
                     sp.add_event(
-                        "leg.skipped", source=source_name, code=error.code
+                        "leg.skipped", source=result.source, code=error.code
                     )
                     continue
-                report.answered.append(source_name)
-                picks.extend(answer.root.children)
+                report.answered.append(result.source)
+                picks.extend(result.answer.root.children)
             document = Document(Element(view_name, picks, fresh_id()))
             sp.set_attribute("degraded", report.degraded)
             sp.set_attribute("answered", len(report.answered))
@@ -889,14 +849,11 @@ class Mediator:
                     self.stats.degraded_answers += 1
                 self.last_degradation = report
             if token is not None and not report.skipped:
-                assert mv is not None
-                mv.store(
+                assert self.matview is not None
+                self.matview.store(
                     token,
                     document,
-                    [
-                        provenance_of(answer)
-                        for _, answer, _ in outcomes
-                    ],
+                    [provenance_of(result.answer) for result in results],
                 )
         return document
 
@@ -911,3 +868,8 @@ class Mediator:
             return self.views[view_name]
         except KeyError:
             raise MediatorError(f"unknown view {view_name!r}")
+
+
+def _empty_answer(name: str) -> Document:
+    """An answer with no picks (rejected, provably empty, or degraded)."""
+    return Document(Element(name, [], fresh_id()))

@@ -1,13 +1,15 @@
 """Parallel source fan-out: a union pays max, not sum, of latencies.
 
-The sequential fan-out in :class:`~repro.mediator.mediator.Mediator`
-calls each union branch's transport in turn under one shared
+Every union fan-out of :class:`~repro.mediator.mediator.Mediator`
+goes through :meth:`ParallelTransport.fan_out`.  Inline fan-out (a
+pool of one, ``Mediator(fanout=None)``) calls each union branch's
+transport in turn under one shared
 :class:`~repro.mediator.transport.Deadline`; N sources cost the *sum*
-of their latencies.  This module dispatches the legs on a bounded
-worker pool so they cost the *max* — the single largest hot-path win
+of their latencies.  A larger pool dispatches the legs on worker
+threads so they cost the *max* — the single largest hot-path win
 left after compilation and indexing (see ``BENCH_PR7.json``).
 
-Three properties the sequential path had are preserved:
+Three properties of inline fan-out are preserved on the pool:
 
 * **Determinism under** :class:`~repro.mediator.transport.FakeClock`.
   The fake clock doubles as a virtual-time scheduler (workers park on

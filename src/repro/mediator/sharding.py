@@ -455,14 +455,18 @@ class ShardedSource(Source):
         The static planning step of :meth:`query`, exposed for
         inspection: no shard is called, no counter moves.
         """
-        plan = compile_query(query)
-        survivors: list[str] = []
+        survivors, pruned = self._survivors(compile_query(query))
+        return [self.shards[index].name for index in survivors], pruned
+
+    def _survivors(self, plan: CompiledPlan) -> tuple[list[int], list[str]]:
+        """``(survivor_indexes, pruned_names)`` for a plan, in shard order."""
+        survivors: list[int] = []
         pruned: list[str] = []
         for index, shard in enumerate(self.shards):
             if not self.policy.prune or fragment_can_match(
                 plan, shard.dtd, self._reachable[index]
             ):
-                survivors.append(shard.name)
+                survivors.append(index)
             else:
                 pruned.append(shard.name)
         return survivors, pruned
@@ -484,17 +488,10 @@ class ShardedSource(Source):
         self.last_gather = None
         report = ShardGatherReport(source=self.name)
         plan = compile_query(query)
-        survivors: list[int] = []
         with obs.span("shard.prune") as sp:
             sp.set_attribute("source", self.name)
             sp.set_attribute("shards", len(self.shards))
-            for index, shard in enumerate(self.shards):
-                if not self.policy.prune or fragment_can_match(
-                    plan, shard.dtd, self._reachable[index]
-                ):
-                    survivors.append(index)
-                else:
-                    report.pruned.append(shard.name)
+            survivors, report.pruned = self._survivors(plan)
             sp.set_attribute("pruned", len(report.pruned))
             sp.set_attribute("survivors", len(survivors))
         with self._stats_lock:

@@ -59,8 +59,6 @@ class ServePolicy:
     default_budget: float = 2.0
     #: per-source transport concurrency gate (0 disables the gate)
     per_source_concurrency: int = 4
-    #: shed union requests when every source breaker is open
-    shed_when_all_open: bool = True
 
 
 @dataclass
@@ -377,7 +375,7 @@ class MediatorServer:
         use_cache = bool(request.get("cache", True))
         if not use_cache:
             self.stats.bump("cache_bypassed")
-        if self.policy.shed_when_all_open and self._breakers_all_open():
+        if self._breakers_all_open():
             self.stats.bump("shed")
             raise LoadShedding(
                 "all source circuit breakers are open; "

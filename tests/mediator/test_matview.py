@@ -259,8 +259,7 @@ class TestDeltaMaintenance:
         mediator = federation()
         mv = mediator.matview
         registration = mediator.union_views[VIEW]
-        key = mediator._union_cache_key(registration)
-        legs = mediator._union_cache_legs(registration)
+        key, legs = mediator._union_cache_entry(registration)
         outcome = mv.probe(key, VIEW, registration.dtd, legs)
         assert outcome.status == "miss"
         answer = mediator.materialize_union(VIEW, cache=False)

@@ -81,18 +81,43 @@ class TestParallelCostsTheMax:
         mediator.close()
 
     def test_parallel_and_sequential_answers_agree(self):
+        # Inline (fanout=None), a one-worker pool, and a four-worker
+        # pool over a federation with a dead site: same answer bytes,
+        # same degradation report, same degrade=False error.
+        from repro.errors import SourceTimeout, SourceUnavailable
         from repro.xmlmodel import serialize_document
 
-        answers = []
-        for fanout in (FanoutPolicy(max_workers=4), None):
-            clock = FakeClock()
-            mediator = build(clock, fanout)
+        def dead_site_plans():
+            plans = latency_plans()
+            plans["site1"] = FaultPlan(dead=True)
+            return plans
+
+        modes = (
+            None,
+            FanoutPolicy(max_workers=1),
+            FanoutPolicy(max_workers=4),
+        )
+        answers, reports, errors = [], [], []
+        for fanout in modes:
+            mediator = build(FakeClock(), fanout, plans=dead_site_plans())
             document = mediator.materialize_union(
                 "journals", mediator.deadline(5.0)
             )
             answers.append(serialize_document(document))
+            reports.append(mediator.last_degradation.describe())
             mediator.close()
-        assert answers[0] == answers[1]
+            mediator = build(FakeClock(), fanout, plans=dead_site_plans())
+            with pytest.raises((SourceTimeout, SourceUnavailable)) as excinfo:
+                mediator.materialize_union(
+                    "journals", mediator.deadline(5.0), degrade=False
+                )
+            errors.append((type(excinfo.value), str(excinfo.value)))
+            mediator.close()
+        assert len(set(answers)) == 1
+        assert len(set(reports)) == 1
+        assert "site1" in reports[0]
+        assert len(set(errors)) == 1
+        assert "site1" in errors[0][1]
 
 
 class TestDispatchOrder:

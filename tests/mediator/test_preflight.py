@@ -6,11 +6,14 @@ empty view straight from the diagnostics.
 """
 
 import random
+import threading
 
 import pytest
 
+from repro import obs
 from repro.dtd import dtd, generate_document
 from repro.mediator import Mediator, Source
+from repro.obs import MetricsRegistry
 from repro.xmas import parse_query
 
 VIEW = "withJournals = SELECT X WHERE X:<professor><journal/></professor>"
@@ -51,6 +54,20 @@ def mediator(source):
     return med
 
 
+def record_preflights(monkeypatch, mediator):
+    """Every report ``mediator.preflight`` returns from now on."""
+    reports = []
+    original = mediator.preflight
+
+    def recording(*args, **kwargs):
+        report = original(*args, **kwargs)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(mediator, "preflight", recording)
+    return reports
+
+
 class TestPreflightRejection:
     def test_unsatisfiable_query_skips_all_fanouts(self, mediator, source):
         answer = mediator.query_view(parse_query(DEAD), "withJournals")
@@ -60,10 +77,10 @@ class TestPreflightRejection:
         assert mediator.stats.fanouts_skipped == 1
         assert mediator.stats.answered_without_source == 1
 
-    def test_rejection_report_is_inspectable(self, mediator):
+    def test_rejection_report_is_inspectable(self, mediator, monkeypatch):
+        reports = record_preflights(monkeypatch, mediator)
         mediator.query_view(parse_query(DEAD), "withJournals")
-        report = mediator.last_preflight
-        assert report is not None
+        [report] = reports
         assert report.has_errors
         assert "MIX101" in report.codes()
 
@@ -83,10 +100,11 @@ class TestPreflightPassThrough:
         assert mediator.stats.fanouts_skipped == 0
 
     def test_preflight_shares_its_tighten_run(self, mediator):
-        mediator.query_view(parse_query(SAT), "withJournals")
-        # the simplifier consumed the pre-flight's cached run: the
-        # cache still holds it, and no second classification happened
-        assert mediator._preflight_cache.get("tighten") is not None
+        with obs.traced(metrics=MetricsRegistry()) as tracer:
+            mediator.query_view(parse_query(SAT), "withJournals")
+        # the simplifier consumed the pre-flight's run: one
+        # classification per query, not two
+        assert len(tracer.find("inference.tighten")) == 1
 
     def test_preflight_can_be_disabled(self, mediator, source):
         mediator.query_view(
@@ -97,9 +115,47 @@ class TestPreflightPassThrough:
         assert mediator.stats.preflight_rejections == 0
         assert mediator.stats.answered_without_source == 1
 
-    def test_no_simplifier_means_no_preflight(self, mediator):
+    def test_no_simplifier_means_no_preflight(self, mediator, monkeypatch):
+        reports = record_preflights(monkeypatch, mediator)
         mediator.query_view(
             parse_query(SAT), "withJournals", use_simplifier=False
         )
         assert mediator.stats.preflight_rejections == 0
-        assert mediator.last_preflight is None
+        assert reports == []
+
+
+class TestConcurrentPreflights:
+    def test_a_preflight_never_leaks_into_another_answer(
+        self, mediator, monkeypatch
+    ):
+        # Thread A pauses between its pre-flight and its simplifier
+        # until the dead query has been answered on this thread: A's
+        # Tighten run must still be A's own.
+        solo = mediator.query_view(parse_query(SAT), "withJournals")
+        assert solo.root.children
+        preflighted = threading.Event()
+        dead_answered = threading.Event()
+        original = mediator.preflight
+
+        def paused(*args, **kwargs):
+            report = original(*args, **kwargs)
+            if threading.current_thread().name == "A":
+                preflighted.set()
+                assert dead_answered.wait(10)
+            return report
+
+        monkeypatch.setattr(mediator, "preflight", paused)
+        answers = []
+        thread = threading.Thread(
+            target=lambda: answers.append(
+                mediator.query_view(parse_query(SAT), "withJournals")
+            ),
+            name="A",
+        )
+        thread.start()
+        assert preflighted.wait(10)
+        mediator.query_view(parse_query(DEAD), "withJournals")
+        dead_answered.set()
+        thread.join(10)
+        [answer] = answers
+        assert answer.root.structurally_equal(solo.root)

@@ -67,6 +67,35 @@ class TestChecker:
             " anywhere under src/"
         ]
 
+    def test_uncatalogued_spans_are_caught(self, tmp_path, monkeypatch):
+        checker = load_checker()
+        monkeypatch.setattr(checker, "REPO", tmp_path)
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "OBSERVABILITY.md").write_text(
+            "## Span catalogue\n\n"
+            "| span | attributes | events |\n"
+            "|---|---|---|\n"
+            "| `known.span` | view | |\n\n"
+            "## Trace format\n\n"
+            "| `after.catalogue` | not a catalogue row | |\n"
+        )
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "work.py").write_text(
+            "from repro import obs\n"
+            'with obs.span("known.span"):\n'
+            "    pass\n"
+            'leg = obs.start_span("uncatalogued.leg")\n'
+            'with obs.span("after.catalogue"):\n'
+            "    pass\n"
+        )
+        problems = checker.check_span_catalogue()
+        assert problems == [
+            "src/work.py:4: span uncatalogued.leg is not in the "
+            "docs/OBSERVABILITY.md span catalogue",
+            "src/work.py:5: span after.catalogue is not in the "
+            "docs/OBSERVABILITY.md span catalogue",
+        ]
+
     def test_repo_markdown_corpus_is_clean(self):
         """README + docs must not drift from the tree (make check-docs)."""
         checker = load_checker()
@@ -74,4 +103,5 @@ class TestChecker:
         for doc in checker.DOC_FILES:
             problems.extend(checker.check_file(doc))
         problems.extend(checker.check_environment_variables(checker.DOC_FILES))
+        problems.extend(checker.check_span_catalogue())
         assert problems == []
