@@ -104,16 +104,12 @@ class TestPruningLadder:
             times[n_shards] = best_call_time(
                 lambda: source.query(query), repeat=5, rounds=10
             )
-            report = source.last_gather
+            called, pruned = source.prune(query)
             benchmark.extra_info[f"shards_{n_shards}_us"] = round(
                 times[n_shards] * 1e6, 2
             )
-            benchmark.extra_info[f"shards_{n_shards}_called"] = len(
-                report.answered
-            )
-            benchmark.extra_info[f"shards_{n_shards}_pruned"] = len(
-                report.pruned
-            )
+            benchmark.extra_info[f"shards_{n_shards}_called"] = len(called)
+            benchmark.extra_info[f"shards_{n_shards}_pruned"] = len(pruned)
             source.close()
         baseline = times[LADDER[0]]
         for n_shards in LADDER[1:]:
@@ -144,7 +140,7 @@ class TestPruningLadder:
             assert source.query(query).root.structurally_equal(
                 oracle.query(query).root
             )
-            assert source.last_gather.pruned == []
+            assert source.prune(query)[1] == []
             times[n_shards] = best_call_time(
                 lambda: source.query(query), repeat=3, rounds=6
             )

@@ -16,8 +16,9 @@ CHANGES.md, docs/*.md) and verifies that
    dotted module paths are ignored;
 3. every **registered diagnostic code** (``repro.errors``'s unified
    namespace, populated by importing the code-registering packages)
-   appears in ``docs/DIAGNOSTICS.md`` -- the catalogue can never
-   silently fall behind the code;
+   appears in ``docs/DIAGNOSTICS.md``, and every code row of the
+   catalogue's tables is registered -- the catalogue can neither fall
+   behind the code nor keep a deleted code;
 4. every **``src/repro`` package** (a directory with ``__init__.py``)
    has a ``repro.<name>`` row in README.md's architecture inventory;
 5. every **``REPRO_*`` environment variable** the prose names is read
@@ -66,6 +67,7 @@ PATH_TOKEN = re.compile(
 ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 SPAN_CATALOGUE = "## Span catalogue"
 SPAN_ROW = re.compile(r"^\| `([^`]+)` \|", re.MULTILINE)
+CODE_ROW = re.compile(r"^\| ([A-Z]+[0-9]{3}) \|", re.MULTILINE)
 
 
 def iter_md_links(text: str):
@@ -123,7 +125,7 @@ def check_file(path: Path) -> list[str]:
 
 
 def check_diagnostic_catalogue() -> list[str]:
-    """Every registered diagnostic code must appear in DIAGNOSTICS.md."""
+    """Registered diagnostic codes and DIAGNOSTICS.md's rows must agree."""
     sys.path.insert(0, str(REPO / "src"))
     # Importing these packages runs every register_diagnostic_code /
     # register_rule call, filling the unified namespace.
@@ -136,12 +138,20 @@ def check_diagnostic_catalogue() -> list[str]:
     catalogue = (REPO / "docs" / "DIAGNOSTICS.md").read_text(
         encoding="utf-8"
     )
-    return [
+    problems = [
         f"docs/DIAGNOSTICS.md: registered code {code} ({summary}) "
         "is not in the catalogue"
         for code, summary in sorted(DIAGNOSTIC_CODES.items())
         if code not in catalogue
     ]
+    for match in CODE_ROW.finditer(catalogue):
+        if match.group(1) not in DIAGNOSTIC_CODES:
+            line = catalogue.count("\n", 0, match.start()) + 1
+            problems.append(
+                f"docs/DIAGNOSTICS.md:{line}: catalogued code "
+                f"{match.group(1)} is not registered"
+            )
+    return problems
 
 
 def check_readme_inventory() -> list[str]:

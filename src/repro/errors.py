@@ -201,15 +201,6 @@ STALE_DELTA_FALLBACK = register_diagnostic_code(
     "delta maintenance unsound for this mutation; full recompute",
 )
 
-#: Informational code for sharded-source gathers
-#: (:mod:`repro.mediator.sharding`): one or more shards failed
-#: permanently and the logical source released the surviving shards'
-#: merged answer instead of failing the whole call.  Labels span
-#: events and the ``sharding`` stats section; never raised.
-PARTIAL_SHARD_GATHER = register_diagnostic_code(
-    "MED008", "partial shard gather: failed shards dropped from answer"
-)
-
 
 class ShardConfigError(MediatorError):
     """A sharded source's fragmentation is invalid.

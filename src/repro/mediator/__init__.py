@@ -34,8 +34,6 @@ from .mediator import (
 )
 from .parallel import FanoutPolicy, LegResult, ParallelTransport
 from .sharding import (
-    ShardGatherReport,
-    ShardPolicy,
     ShardStats,
     ShardedSource,
     fragment_by_child,
@@ -86,8 +84,6 @@ __all__ = [
     "QueryPlan",
     "QueryStats",
     "RetryPolicy",
-    "ShardGatherReport",
-    "ShardPolicy",
     "ShardStats",
     "ShardedSource",
     "SimplifierDecision",

@@ -54,11 +54,6 @@ from .transport import (
     TransportPolicy,
 )
 
-#: The fan-out of ``Mediator(fanout=None)``: union legs run one after
-#: another on the caller's thread, in branch order, under the policy's
-#: timeouts only.
-INLINE = FanoutPolicy(max_workers=1, cost_aware=False)
-
 #: A request's matview cache key and the source legs it reads.
 CacheEntry = tuple[tuple, tuple[CacheLeg, ...]]
 
@@ -200,8 +195,8 @@ class Mediator:
         self.policy = policy or TransportPolicy()
         self.clock: Clock = clock or SystemClock()
         #: the union fan-out (``fanout=None`` runs legs inline, see
-        #: :data:`INLINE`)
-        self.parallel = ParallelTransport(self.clock, fanout or INLINE)
+        #: :data:`~repro.mediator.parallel.INLINE`)
+        self.parallel = ParallelTransport(self.clock, fanout)
         #: the materialized-view answer cache (None = uncached, the
         #: classic re-evaluate-everything mediator); accepts a policy
         #: (private cache) or a ready MatViewCache (shared warm cache)
@@ -766,7 +761,8 @@ class Mediator:
         mediator's :class:`~repro.mediator.parallel.ParallelTransport`:
         with a :class:`FanoutPolicy` they run concurrently — a union
         over N sources costs the max, not the sum, of their latencies —
-        and with ``fanout=None`` they run inline (:data:`INLINE`).
+        and with ``fanout=None`` they run inline
+        (:data:`~repro.mediator.parallel.INLINE`).
         Either way the answer (picks in branch order), the degradation
         report, and the ``degrade=False`` error (the first failing
         branch in branch order) are the same.

@@ -77,6 +77,12 @@ class FanoutPolicy:
     cost_aware: bool = True
 
 
+#: The fan-out of ``fanout=None`` (a mediator's unions, a sharded
+#: source's gathers): legs run one after another on the caller's
+#: thread, in leg order, under the policy's timeouts only.
+INLINE = FanoutPolicy(max_workers=1, cost_aware=False)
+
+
 @dataclass
 class LegResult:
     """One fan-out leg's outcome, in the caller's original leg order."""
@@ -125,7 +131,7 @@ class ParallelTransport:
         policy: FanoutPolicy | None = None,
     ) -> None:
         self.clock: Clock = clock or SystemClock()
-        self.policy = policy or FanoutPolicy()
+        self.policy = policy or INLINE
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
         #: fan-outs dispatched in parallel / answered inline

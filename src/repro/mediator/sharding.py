@@ -43,12 +43,11 @@ dispatch, and p95-derived timeouts all generalize from per-source to
 per-shard for free.  Answers merge **deterministically in
 shard order** (fan-out results come back in input leg order, so the
 merge — and therefore every trace and counter — is run-identical
-under :class:`~repro.mediator.transport.FakeClock`).  When a shard
-fails permanently, ``ShardPolicy.partial`` decides between failing the
-logical call (the default — the outer transport's retry policy then
-re-gathers) and releasing the surviving shards' merged answer
-annotated with diagnostic ``MED008`` (:class:`ShardGatherReport`,
-``last_gather``).
+under :class:`~repro.mediator.transport.FakeClock`).  A shard that
+fails permanently fails the logical call with the leg's own error, as
+an unsharded source would: the outer transport's retry policy then
+re-gathers, and a mediator union skips the whole source and validates
+and flags its degraded answer.
 
 The merged answer re-registers engine pick provenance with document
 ordinals shifted into the logical document list, so the materialized-
@@ -66,12 +65,12 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import obs
 from ..dtd import Dtd, Pcdata, validate_document
 from ..dtd.analysis import reachable_names
-from ..errors import PARTIAL_SHARD_GATHER, ShardConfigError
+from ..errors import ShardConfigError
 from ..regex import is_subset
 from ..regex import kernel
 from ..xmas import Query
@@ -95,44 +94,8 @@ from .transport import (
 
 
 # ---------------------------------------------------------------------------
-# policy, reports, stats
+# stats
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardPolicy:
-    """How a sharded source plans and gathers.
-
-    ``prune`` turns fragmentation-aware pruning off (every query calls
-    every shard — the oracle mode the differential tests and the
-    benchmark equality gate compare against).  ``partial`` releases a
-    merged answer when some shards fail permanently (``MED008``)
-    instead of failing the logical call.  ``check_fragments`` verifies
-    at construction that every fragment DTD specializes the logical DTD
-    (leave it on outside benchmarks; the check is cached-DFA cheap).
-    """
-
-    prune: bool = True
-    partial: bool = False
-    check_fragments: bool = True
-
-
-@dataclass
-class ShardGatherReport:
-    """What one sharded gather did (``ShardedSource.last_gather``)."""
-
-    source: str
-    #: shard names that answered, in shard order
-    answered: list[str] = field(default_factory=list)
-    #: shard name -> "CODE: reason" for permanently failed shards
-    skipped: dict[str, str] = field(default_factory=dict)
-    #: shard names pruned statically (never called), in shard order
-    pruned: list[str] = field(default_factory=list)
-
-    @property
-    def partial(self) -> bool:
-        """Did the released answer drop a failed shard (``MED008``)?"""
-        return bool(self.skipped)
 
 
 @dataclass
@@ -146,8 +109,6 @@ class ShardStats:
     shards_called: int = 0
     #: legs that failed permanently (timeout / unavailable)
     shard_failures: int = 0
-    #: gathers released partial under ``ShardPolicy.partial`` (MED008)
-    partial_gathers: int = 0
     #: queries answered empty with zero shard calls (all shards pruned)
     all_pruned: int = 0
 
@@ -344,7 +305,6 @@ class ShardedSource(Source):
         dtd: Dtd,
         shards: "list[Source]",
         *,
-        policy: ShardPolicy | None = None,
         transport_policy: TransportPolicy | None = None,
         clock: Clock | None = None,
         fanout: FanoutPolicy | None = None,
@@ -364,17 +324,15 @@ class ShardedSource(Source):
         self.dtd = dtd
         self.validate = validate
         self.queries_served = 0
-        self.policy = policy or ShardPolicy()
         self.clock: Clock = clock or SystemClock()
         self.shards = shards
         self._shard_by_name = {shard.name: shard for shard in shards}
-        if self.policy.check_fragments:
-            for shard in shards:
-                problem = fragment_specialization_problem(shard.dtd, dtd)
-                if problem is not None:
-                    raise ShardConfigError(
-                        f"shard {shard.name!r} of {name!r}: {problem}"
-                    )
+        for shard in shards:
+            problem = fragment_specialization_problem(shard.dtd, dtd)
+            if problem is not None:
+                raise ShardConfigError(
+                    f"shard {shard.name!r} of {name!r}: {problem}"
+                )
         transport_policy = transport_policy or TransportPolicy()
         #: one transport per shard: per-shard breaker, retry policy,
         #: latency histogram — the cost model the dispatch order and
@@ -383,6 +341,8 @@ class ShardedSource(Source):
             SourceTransport(shard, transport_policy, self.clock)
             for shard in shards
         ]
+        #: the shard gather (``fanout=None`` runs legs inline, see
+        #: :data:`~repro.mediator.parallel.INLINE`)
         self.parallel = ParallelTransport(self.clock, fanout)
         #: per-shard reachable-name sets (fragment DTDs are immutable
         #: after construction, so these are computed once)
@@ -391,7 +351,6 @@ class ShardedSource(Source):
         ]
         self.stats = ShardStats()
         self._stats_lock = threading.Lock()
-        self._tls = threading.local()
         _LIVE_SHARDED.add(self)
 
     # -- Source surface --------------------------------------------------
@@ -404,15 +363,6 @@ class ShardedSource(Source):
             for shard in self.shards
             for document in shard.documents
         ]
-
-    @property
-    def last_gather(self) -> ShardGatherReport | None:
-        """This thread's most recent gather report (None before any)."""
-        return getattr(self._tls, "gather", None)
-
-    @last_gather.setter
-    def last_gather(self, report: ShardGatherReport | None) -> None:
-        self._tls.gather = report
 
     def add_document(
         self, document: Document, shard: str | None = None
@@ -453,7 +403,9 @@ class ShardedSource(Source):
         """``(survivor_names, pruned_names)`` for a query, in shard order.
 
         The static planning step of :meth:`query`, exposed for
-        inspection: no shard is called, no counter moves.
+        inspection: no shard is called, no counter moves.  The
+        survivors are the shards :meth:`query` calls, and so the shards
+        whose answers a successful query merges.
         """
         survivors, pruned = self._survivors(compile_query(query))
         return [self.shards[index].name for index in survivors], pruned
@@ -463,9 +415,7 @@ class ShardedSource(Source):
         survivors: list[int] = []
         pruned: list[str] = []
         for index, shard in enumerate(self.shards):
-            if not self.policy.prune or fragment_can_match(
-                plan, shard.dtd, self._reachable[index]
-            ):
+            if fragment_can_match(plan, shard.dtd, self._reachable[index]):
                 survivors.append(index)
             else:
                 pruned.append(shard.name)
@@ -481,25 +431,27 @@ class ShardedSource(Source):
     # -- the gather --------------------------------------------------------
 
     def query(self, query: Query) -> Document:
-        """Prune, scatter surviving shards, gather, merge in shard order."""
+        """Prune, scatter surviving shards, gather, merge in shard order.
+
+        A shard that fails permanently fails the whole call with its
+        own error (the first in shard order): a sharded answer is
+        either complete or absent, never silently partial.
+        """
         with self._stats_lock:
             self.queries_served += 1
             self.stats.queries += 1
-        self.last_gather = None
-        report = ShardGatherReport(source=self.name)
         plan = compile_query(query)
         with obs.span("shard.prune") as sp:
             sp.set_attribute("source", self.name)
             sp.set_attribute("shards", len(self.shards))
-            survivors, report.pruned = self._survivors(plan)
-            sp.set_attribute("pruned", len(report.pruned))
+            survivors, pruned = self._survivors(plan)
+            sp.set_attribute("pruned", len(pruned))
             sp.set_attribute("survivors", len(survivors))
         with self._stats_lock:
-            self.stats.shards_pruned += len(report.pruned)
+            self.stats.shards_pruned += len(pruned)
             if not survivors:
                 self.stats.all_pruned += 1
         if not survivors:
-            self.last_gather = report
             return self._empty_answer(query)
         with obs.span("shard.gather") as sp:
             sp.set_attribute("source", self.name)
@@ -507,35 +459,19 @@ class ShardedSource(Source):
             results = self.parallel.fan_out(
                 [(self.transports[index], query) for index in survivors]
             )
+            errors = [r.error for r in results if r.error is not None]
             with self._stats_lock:
                 self.stats.shards_called += len(survivors)
+                self.stats.shard_failures += len(errors)
+            sp.set_attribute("failed", len(errors))
+            if errors:
+                raise errors[0]
             picks: list[Element] = []
             origins: list[PickOrigin] | None = (
                 [] if provenance_enabled() else None
             )
             offsets = self._document_offsets()
-            first_error: Exception | None = None
-            failures = 0
             for index, result in zip(survivors, results):
-                shard_name = self.shards[index].name
-                if result.error is not None:
-                    failures += 1
-                    if not self.policy.partial:
-                        with self._stats_lock:
-                            self.stats.shard_failures += failures
-                        raise result.error
-                    if first_error is None:
-                        first_error = result.error
-                    report.skipped[shard_name] = (
-                        f"{result.error.code}: {result.error}"
-                    )
-                    sp.add_event(
-                        "shard.skipped",
-                        shard=shard_name,
-                        code=result.error.code,
-                    )
-                    continue
-                report.answered.append(shard_name)
                 answer = result.answer
                 assert answer is not None
                 picks.extend(answer.root.children)
@@ -549,29 +485,12 @@ class ShardedSource(Source):
                             PickOrigin(base + o.doc, o.pos, o.end)
                             for o in shard_origins
                         )
-            with self._stats_lock:
-                self.stats.shard_failures += failures
-            if report.skipped and not report.answered:
-                # Partial mode with nothing gathered: there is no
-                # partial answer to offer, so the logical call fails
-                # like an unsharded source would.
-                assert first_error is not None
-                raise first_error
-            if report.skipped:
-                with self._stats_lock:
-                    self.stats.partial_gathers += 1
-                sp.add_event(
-                    "partial_gather", code=PARTIAL_SHARD_GATHER
-                )
-            sp.set_attribute("failed", failures)
-            sp.set_attribute("partial", bool(report.skipped))
             sp.set_attribute("picks", len(picks))
             merged = Document(
                 Element(query.view_name, picks, fresh_id())
             )
             if origins is not None:
                 record_provenance(merged, tuple(origins))
-        self.last_gather = report
         return merged
 
     def _document_offsets(self) -> list[int]:
@@ -624,7 +543,6 @@ def _aggregate() -> dict:
         "pruned": 0,
         "called": 0,
         "failures": 0,
-        "partial_gathers": 0,
         "all_pruned": 0,
     }
     for source in list(_LIVE_SHARDED):
@@ -635,7 +553,6 @@ def _aggregate() -> dict:
         totals["pruned"] += stats.shards_pruned
         totals["called"] += stats.shards_called
         totals["failures"] += stats.shard_failures
-        totals["partial_gathers"] += stats.partial_gathers
         totals["all_pruned"] += stats.all_pruned
     return totals
 

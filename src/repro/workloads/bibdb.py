@@ -25,7 +25,6 @@ if TYPE_CHECKING:
         MatViewCache,
         MatViewPolicy,
         Mediator,
-        ShardPolicy,
         ShardedSource,
         TransportPolicy,
     )
@@ -284,7 +283,6 @@ def sharded_source(
     journal_fraction: float = 0.125,
     star_mean: float = 1.4,
     clock: "Clock | None" = None,
-    policy: "ShardPolicy | None" = None,
     transport_policy: "TransportPolicy | None" = None,
     fanout: "FanoutPolicy | None" = None,
 ) -> "ShardedSource":
@@ -340,7 +338,6 @@ def sharded_source(
         name,
         schema,
         shards,
-        policy=policy,
         transport_policy=transport_policy,
         clock=clock,
         fanout=fanout,
@@ -376,7 +373,6 @@ def sharded_federation(
     policy: "TransportPolicy | None" = None,
     fanout: "FanoutPolicy | None" = None,
     cache: "MatViewPolicy | MatViewCache | None" = None,
-    shard_policy: "ShardPolicy | None" = None,
 ) -> "Mediator":
     """The :func:`union_federation` over sharded bibliography sites.
 
@@ -406,7 +402,6 @@ def sharded_federation(
                 journal_fraction=journal_fraction,
                 star_mean=star_mean,
                 clock=clock,
-                policy=shard_policy,
                 fanout=fanout,
             )
         )

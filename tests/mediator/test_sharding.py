@@ -2,9 +2,11 @@
 
 The contract under test is *transparency*: a :class:`ShardedSource`
 must answer every query exactly like the unsharded source holding the
-same documents in the same order — under pruning, under partial
+same documents in the same order — under pruning, under transient
 failure with retries, under subtree fragmentation, and through the
-materialized-view cache.  Pruning must be a *proof* (a pruned shard
+materialized-view cache.  A permanently failed shard fails the whole
+logical call, so a mediator union flags, validates and never caches
+the degraded answer.  Pruning must be a *proof* (a pruned shard
 is never called and never changes the answer), and every observable
 must be deterministic under ``FakeClock``.
 """
@@ -16,9 +18,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dtd import dtd as make_dtd
+from repro.dtd import validate_document
 from repro.errors import (
     DIAGNOSTIC_CODES,
-    PARTIAL_SHARD_GATHER,
     ShardConfigError,
     SourceUnavailable,
 )
@@ -30,7 +32,6 @@ from repro.mediator import (
     MatViewPolicy,
     Mediator,
     RetryPolicy,
-    ShardPolicy,
     ShardedSource,
     Source,
     TransportPolicy,
@@ -171,14 +172,6 @@ class TestFragmentSpecialization:
                 validate=False,
             )
         assert info.value.code == "MED009"
-        # ... unless the check is explicitly waived
-        ShardedSource(
-            "s",
-            logical,
-            [Source("s/0", widened, [], validate=False)],
-            policy=ShardPolicy(check_fragments=False),
-            validate=False,
-        )
 
     def test_empty_and_duplicate_shards_are_rejected(self):
         logical = bibdb.bibdb_dtd()
@@ -213,17 +206,8 @@ class TestPruning:
                 assert shard.queries_served == 0
             else:
                 assert shard.queries_served == 1
-        report = source.last_gather
-        assert report.pruned == pruned
-        assert report.answered == survivors
-        assert not report.partial
-
-    def test_prune_off_calls_every_shard(self):
-        documents = corpus()
-        source = sharded(documents, policy=ShardPolicy(prune=False))
-        source.query(journal_query())
-        assert all(shard.queries_served == 1 for shard in source.shards)
-        assert source.last_gather.pruned == []
+        assert source.stats.shards_pruned == len(pruned)
+        assert source.stats.shards_called == len(survivors)
 
     def test_all_pruned_answers_empty_without_calls(self):
         documents = corpus(n_journal=0, n_conference=8)
@@ -238,13 +222,12 @@ class TestPruning:
     def test_pruning_never_changes_the_answer(self):
         documents = corpus()
         pruning = sharded(documents)
-        oracle_mode = sharded(documents, policy=ShardPolicy(prune=False))
+        reference = oracle(documents)
         for query in (journal_query(), all_articles_query()):
             fast = pruning.query(query)
-            slow = oracle_mode.query(query)
+            slow = reference.query(query)
             assert fast.root.structurally_equal(slow.root)
         assert pruning.stats.shards_pruned > 0
-        assert oracle_mode.stats.shards_pruned == 0
 
 
 class TestMergeOrder:
@@ -346,6 +329,8 @@ def fast_retries(attempts=2):
 
 
 class TestPartialGather:
+    """A gather is complete or it fails: no partial sharded answers."""
+
     def test_failed_shard_fails_the_logical_call_by_default(self):
         clock = FakeClock()
         documents = corpus()
@@ -361,47 +346,6 @@ class TestPartialGather:
             source.query(journal_query())
         assert source.stats.shard_failures == 1
 
-    def test_partial_mode_releases_surviving_shards(self):
-        clock = FakeClock()
-        documents = corpus(4, 4)
-        source = ShardedSource(
-            "bib0",
-            bibdb.bibdb_dtd(),
-            faulty_shards(documents, 4, 4, clock, dead={0}),
-            policy=ShardPolicy(partial=True),
-            transport_policy=fast_retries(),
-            clock=clock,
-            validate=False,
-        )
-        answer = source.query(journal_query())
-        report = source.last_gather
-        assert report.partial
-        assert set(report.skipped) == {"bib0/s0"}
-        assert report.skipped["bib0/s0"].startswith("MED003")
-        assert source.stats.partial_gathers == 1
-        # the partial answer is exactly the surviving shards' merge
-        survivors = oracle(
-            [d for shard in source.shards[1:] for d in shard.documents]
-        )
-        assert answer.root.structurally_equal(
-            survivors.query(journal_query()).root
-        )
-
-    def test_partial_mode_with_no_survivors_still_fails(self):
-        clock = FakeClock()
-        documents = corpus(4, 0)
-        source = ShardedSource(
-            "bib0",
-            bibdb.bibdb_dtd(),
-            faulty_shards(documents, 4, 2, clock, dead={0, 1}),
-            policy=ShardPolicy(partial=True),
-            transport_policy=fast_retries(),
-            clock=clock,
-            validate=False,
-        )
-        with pytest.raises(SourceUnavailable):
-            source.query(journal_query())
-
     def test_per_shard_breakers_are_independent(self):
         clock = FakeClock()
         documents = corpus(4, 4)
@@ -409,13 +353,13 @@ class TestPartialGather:
             "bib0",
             bibdb.bibdb_dtd(),
             faulty_shards(documents, 4, 4, clock, dead={0}),
-            policy=ShardPolicy(partial=True),
             transport_policy=fast_retries(),
             clock=clock,
             validate=False,
         )
         for _ in range(4):
-            source.query(journal_query())
+            with pytest.raises(SourceUnavailable):
+                source.query(journal_query())
         health = source.shard_health()
         assert health["bib0/s0"]["breaker"] == "open"
         assert all(
@@ -446,7 +390,7 @@ class TestPartialGather:
             validate=False,
         )
         answer = source.query(journal_query())
-        assert not source.last_gather.partial
+        assert source.stats.shard_failures == 0
         assert answer.root.structurally_equal(
             oracle(documents).query(journal_query()).root
         )
@@ -470,15 +414,15 @@ class TestDeterminism:
             "bib0",
             bibdb.bibdb_dtd(),
             shards,
-            policy=ShardPolicy(prune=False),
             clock=clock,
             fanout=FanoutPolicy(max_workers=4),
             validate=False,
         )
         trail = []
         for _ in range(2):
-            trail.append(serialize_document(source.query(journal_query())))
-            trail.append(tuple(source.last_gather.answered))
+            answer = source.query(all_articles_query())
+            trail.append(serialize_document(answer))
+            trail.append(tuple(shard.queries_served for shard in shards))
         trail.append(clock.now())
         trail.append(
             tuple(
@@ -495,6 +439,7 @@ class TestDeterminism:
         second = self.run_once()
         assert first == second
         assert first[-2] > 0  # injected latency actually elapsed
+        assert first[3] == (2, 2, 2, 2)  # every shard answered twice
 
     def test_gather_inside_union_fanout_runs_inline(self):
         # A sharded source inside a parallel union leg must not nest
@@ -522,6 +467,17 @@ class TestDeterminism:
         for name in ("bib0", "bib1"):
             assert mediator.sources[name].parallel.parallel_fanouts == 0
         mediator.close()
+
+    def test_fanout_none_gathers_inline(self):
+        # Like Mediator(fanout=None): no pool, legs on the caller's
+        # thread (what `repro serve --workers 0 --shards N` builds).
+        source = sharded(corpus(4, 4), n_journal=4)
+        survivors, _ = source.prune(all_articles_query())
+        assert len(survivors) == 4
+        source.query(all_articles_query())
+        assert source.parallel.parallel_fanouts == 0
+        assert source.parallel.inline_fanouts == 1
+        source.close()
 
 
 class TestMatViewIntegration:
@@ -574,6 +530,64 @@ class TestMatViewIntegration:
         assert after.root.structurally_equal(before.root)
 
 
+class TestShardFaultsThroughTheCache:
+    """shards × faults × matview: a dead shard degrades its whole
+    source, and the degraded union answer is flagged, sound, and never
+    served from the cache once the shard recovers."""
+
+    def test_degraded_answer_is_flagged_valid_and_never_cached(self):
+        clock = FakeClock()
+        documents = corpus(4, 4)
+        shards = faulty_shards(documents, 4, 4, clock, dead={0})
+        dead = shards[0]
+        mediator = Mediator(
+            "m", policy=fast_retries(), clock=clock, cache=MatViewPolicy()
+        )
+        mediator.add_source(
+            ShardedSource(
+                "bib0",
+                bibdb.bibdb_dtd(),
+                shards,
+                transport_policy=fast_retries(),
+                clock=clock,
+                validate=False,
+            )
+        )
+        healthy = corpus(2, 2, seed=9)
+        mediator.add_source(oracle(healthy, "bib1"))
+        mediator.register_union_view(
+            [journal_query("bib0"), journal_query("bib1")], VIEW
+        )
+        view_dtd = mediator.union_views[VIEW].dtd
+
+        degraded = mediator.materialize_union(VIEW)
+        report = mediator.last_degradation
+        assert report is not None and report.degraded
+        assert set(report.skipped) == {"bib0"}
+        assert report.answer_valid
+        assert validate_document(degraded, view_dtd).ok
+        assert mediator.last_cache_outcome == "miss"
+        assert degraded.root.structurally_equal(
+            oracle(healthy, "bib1").query(journal_query("bib1")).root
+        )
+
+        dead.plan = FaultPlan()  # the shard recovers ...
+        clock.advance(60.0)  # ... and every breaker may half-open
+        recovered = mediator.materialize_union(VIEW)
+        assert mediator.last_cache_outcome == "miss"
+        assert mediator.last_degradation is None
+        flat = Mediator("flat", clock=FakeClock())
+        flat.add_source(oracle(documents, "bib0"))
+        flat.add_source(oracle(healthy, "bib1"))
+        flat.register_union_view(
+            [journal_query("bib0"), journal_query("bib1")], VIEW
+        )
+        assert recovered.root.structurally_equal(
+            flat.materialize_union(VIEW).root
+        )
+        assert len(recovered.root.children) > len(degraded.root.children)
+
+
 class TestKernelIntegration:
     def test_sharding_section_in_kernel_stats(self):
         documents = corpus()
@@ -603,8 +617,6 @@ class TestKernelIntegration:
 
 class TestDiagnostics:
     def test_shard_codes_are_registered(self):
-        assert PARTIAL_SHARD_GATHER == "MED008"
-        assert "MED008" in DIAGNOSTIC_CODES
         assert ShardConfigError.code == "MED009"
         assert "MED009" in DIAGNOSTIC_CODES
 
@@ -628,23 +640,6 @@ class TestDiagnostics:
         )
         assert missing == []
 
-    def test_skipped_shards_carry_diagnostic_codes(self):
-        clock = FakeClock()
-        documents = corpus(4, 4)
-        source = ShardedSource(
-            "bib0",
-            bibdb.bibdb_dtd(),
-            faulty_shards(documents, 4, 4, clock, dead={1}),
-            policy=ShardPolicy(partial=True),
-            transport_policy=fast_retries(),
-            clock=clock,
-            validate=False,
-        )
-        source.query(all_articles_query())
-        (reason,) = source.last_gather.skipped.values()
-        code = reason.split(":", 1)[0]
-        assert code in DIAGNOSTIC_CODES
-
 
 class TestDifferentialProperty:
     """Property test: sharded ≡ unsharded under random fragmentations."""
@@ -659,10 +654,9 @@ class TestDifferentialProperty:
         n_conference=st.integers(min_value=0, max_value=5),
         n_shards=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=4),
-        prune=st.booleans(),
     )
     def test_random_fragmentations_answer_like_the_oracle(
-        self, n_journal, n_conference, n_shards, seed, prune
+        self, n_journal, n_conference, n_shards, seed
     ):
         if n_journal + n_conference == 0:
             n_journal = 1
@@ -671,7 +665,6 @@ class TestDifferentialProperty:
             documents,
             n_journal=n_journal,
             n_shards=n_shards,
-            policy=ShardPolicy(prune=prune),
         )
         reference = oracle(documents)
         for query in (journal_query(), all_articles_query()):
@@ -717,4 +710,4 @@ class TestDifferentialProperty:
         assert source.query(query).root.structurally_equal(
             reference.query(query).root
         )
-        assert not source.last_gather.partial
+        assert source.stats.shard_failures == 0

@@ -9,7 +9,11 @@ independent formulations the property tests compare it against:
 * :func:`compute_equivalence_pairwise` / :func:`collapse_equivalent_pairwise`
   -- the collapse fixpoint refined by comparing every member against
   each bucket's pivot, against the signature grouping of
-  :mod:`repro.inference.collapse`.
+  :mod:`repro.inference.collapse`;
+* :func:`matches_by_derivatives` -- regular-language membership by
+  iterated Brzozowski derivatives, against the Glushkov/DFA path of
+  :func:`repro.regex.matches`: two engines built from different theory
+  are unlikely to share a bug.
 
 The compiled engine's oracle, full binding enumeration, stays in the
 library (:func:`repro.xmas.legacy_picked_elements`): the engine still
@@ -19,6 +23,7 @@ falls back to it for plans it cannot project.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 from repro.dtd import Pcdata, SpecializedDtd, TaggedName
 from repro.inference.collapse import (
@@ -28,6 +33,21 @@ from repro.inference.collapse import (
     _rep_map,
 )
 from repro.regex import Regex, Sym, rename
+from repro.regex.ast import (
+    EMPTY,
+    EPSILON,
+    Alt,
+    Concat,
+    Empty,
+    Epsilon,
+    Opt,
+    Plus,
+    Star,
+    alt,
+    concat,
+    nullable,
+    star,
+)
 from repro.regex.dfa import product
 from repro.regex.language import _aligned
 
@@ -101,3 +121,40 @@ def collapse_equivalent_pairwise(
 ) -> tuple[SpecializedDtd, dict[TaggedName, TaggedName]]:
     """:func:`repro.inference.collapse.collapse_equivalent`, pairwise."""
     return _collapse_classes(sdtd, compute_equivalence_pairwise(sdtd))
+
+
+@lru_cache(maxsize=65536)
+def derivative(regex: Regex, letter: tuple[str, int]) -> Regex:
+    """The Brzozowski derivative of ``regex`` by ``letter``.
+
+    The derivative of a language L by a letter a is ``{w : aw in L}``.
+    """
+    if isinstance(regex, Sym):
+        return EPSILON if regex.key() == letter else EMPTY
+    if isinstance(regex, (Epsilon, Empty)):
+        return EMPTY
+    if isinstance(regex, Concat):
+        head, *tail = regex.items
+        rest = concat(*tail)
+        with_head = concat(derivative(head, letter), rest)
+        if nullable(head):
+            return alt(with_head, derivative(rest, letter))
+        return with_head
+    if isinstance(regex, Alt):
+        return alt(*(derivative(item, letter) for item in regex.items))
+    if isinstance(regex, (Star, Plus)):
+        # r+ = r, r*
+        return concat(derivative(regex.item, letter), star(regex.item))
+    if isinstance(regex, Opt):
+        return derivative(regex.item, letter)
+    raise TypeError(f"unknown regex node {regex!r}")
+
+
+def matches_by_derivatives(regex: Regex, word: Sequence[Sym]) -> bool:
+    """Membership: the iterated derivative by ``word`` is nullable."""
+    current = regex
+    for symbol in word:
+        current = derivative(current, symbol.key())
+        if isinstance(current, Empty):
+            return False
+    return nullable(current)

@@ -1,9 +1,10 @@
 """Property-based cross-checks of the two language engines.
 
-The Glushkov/DFA path and the Brzozowski-derivative path are built
-from different theory; agreement on random inputs is strong evidence
-both are right.  Also checks the samplers against membership and the
-counter against brute-force enumeration.
+The Glushkov/DFA path and the Brzozowski-derivative oracle
+(:mod:`tests.oracles`) are built from different theory; agreement on
+random inputs is strong evidence both are right.  Also checks the
+samplers against membership and the counter against brute-force
+enumeration.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from hypothesis import given, settings
 from repro.regex import (
     Sym,
     count_words_by_length,
-    derivatives,
     is_equivalent,
     is_subset,
     matches,
@@ -28,6 +28,7 @@ from repro.regex import (
 )
 from repro.regex.nfa import build_nfa, nfa_accepts
 
+from tests.oracles import matches_by_derivatives
 from tests.strategies import NAMES, regex_strategy, words_strategy
 
 FAST = settings(max_examples=150, deadline=None)
@@ -36,7 +37,7 @@ FAST = settings(max_examples=150, deadline=None)
 @given(regex_strategy(), words_strategy())
 @FAST
 def test_dfa_agrees_with_derivatives(r, word):
-    assert matches(r, word) == derivatives.matches(r, word)
+    assert matches(r, word) == matches_by_derivatives(r, word)
 
 
 @given(regex_strategy(), words_strategy())

@@ -96,12 +96,39 @@ class TestChecker:
             "docs/OBSERVABILITY.md span catalogue",
         ]
 
+    def test_unregistered_catalogue_codes_are_caught(
+        self, tmp_path, monkeypatch
+    ):
+        checker = load_checker()
+        monkeypatch.setattr(checker, "REPO", tmp_path)
+        import repro.lint  # noqa: F401  (registers the MIX1xx rule codes)
+        import repro.serve  # noqa: F401  (registers the SRVxxx codes)
+        from repro.errors import DIAGNOSTIC_CODES
+
+        (tmp_path / "docs").mkdir()
+        rows = [
+            f"| {code} | {summary} |"
+            for code, summary in sorted(DIAGNOSTIC_CODES.items())
+        ]
+        (tmp_path / "docs" / "DIAGNOSTICS.md").write_text(
+            "| code | meaning |\n|---|---|\n"
+            + "\n".join(rows)
+            + "\n| MED099 | a deleted code left behind |\n"
+            "\nProse may mention MED099 freely.\n"
+        )
+        problems = checker.check_diagnostic_catalogue()
+        assert problems == [
+            f"docs/DIAGNOSTICS.md:{len(rows) + 3}: catalogued code MED099 "
+            "is not registered"
+        ]
+
     def test_repo_markdown_corpus_is_clean(self):
         """README + docs must not drift from the tree (make check-docs)."""
         checker = load_checker()
         problems = []
         for doc in checker.DOC_FILES:
             problems.extend(checker.check_file(doc))
+        problems.extend(checker.check_diagnostic_catalogue())
         problems.extend(checker.check_environment_variables(checker.DOC_FILES))
         problems.extend(checker.check_span_catalogue())
         assert problems == []
