@@ -53,51 +53,29 @@ bench-engine-json:
 		--output BENCH_PR3.json \
 		--require-speedup 3 --require-count 3
 
-# The PR7 fan-out gate: run the parallel-mediator benches (inline
-# overhead < 5%, 4-source fan-out <= 1.3x the slowest source, virtual
-# economics, serve throughput) and write the BENCH_PR7.json trajectory
-# file.  See docs/PERFORMANCE.md.
-bench-parallel-json:
-	pytest benchmarks/bench_parallel.py -q --benchmark-only \
+# The merge-only gates: run one benchmark suite and write its
+# trajectory file (the gates themselves live in the suite).  See
+# docs/PERFORMANCE.md, docs/SHARDING.md and docs/PERSISTENCE.md.
+#   parallel  BENCH_PR7.json   inline overhead < 5%, 4-source fan-out
+#                              <= 1.3x the slowest source, serve
+#                              throughput
+#   matview   BENCH_PR8.json   warm hit >= 20x cold, delta >= 3x full
+#                              recompute, disabled path < 3% overhead
+#   sharding  BENCH_PR9.json   prune correctness at every rung of a
+#                              1 -> 64 shard ladder, best rung >= 3x
+#   store     BENCH_PR10.json  stored == in-memory answers, cold
+#                              reopen >= 5x parse+index, sweep bounded
+#                              by the page budget
+bench-parallel-json: BENCH_OUT = BENCH_PR7.json
+bench-matview-json: BENCH_OUT = BENCH_PR8.json
+bench-sharding-json: BENCH_OUT = BENCH_PR9.json
+bench-store-json: BENCH_OUT = BENCH_PR10.json
+bench-parallel-json bench-matview-json bench-sharding-json bench-store-json: bench-%-json:
+	pytest benchmarks/bench_$*.py -q --benchmark-only \
 		--benchmark-disable-gc \
-		--benchmark-json=.bench_parallel.json
-	python benchmarks/compare_bench.py merge .bench_parallel.json \
-		--output BENCH_PR7.json
-
-# The PR8 materialized-view gate: run the answer-cache benches (warm
-# hit >= 20x cold, delta maintenance >= 3x full recompute, disabled
-# path < 3% overhead, warm-cache serve throughput) and write the
-# BENCH_PR8.json trajectory file.  See docs/PERFORMANCE.md.
-bench-matview-json:
-	pytest benchmarks/bench_matview.py -q --benchmark-only \
-		--benchmark-disable-gc \
-		--benchmark-json=.bench_matview.json
-	python benchmarks/compare_bench.py merge .bench_matview.json \
-		--output BENCH_PR8.json
-
-# The PR9 sharding gate: run the fragmentation-aware sharding benches
-# (1 -> 64 shard ladder: prune correctness vs the unsharded oracle at
-# every rung, best pruned rung >= 3x the single-shard baseline,
-# unprunable gather overhead recorded) and write the BENCH_PR9.json
-# trajectory file.  See docs/SHARDING.md.
-bench-sharding-json:
-	pytest benchmarks/bench_sharding.py -q --benchmark-only \
-		--benchmark-disable-gc \
-		--benchmark-json=.bench_sharding.json
-	python benchmarks/compare_bench.py merge .bench_sharding.json \
-		--output BENCH_PR9.json
-
-# The PR10 store gate: run the persistent-store benches (stored vs
-# in-memory answer equality on a 4 -> 64 document ladder, cold reopen
-# >= 5x cold parse+index, full-corpus sweep bounded by the page
-# budget) and write the BENCH_PR10.json trajectory file.  See
-# docs/PERSISTENCE.md.
-bench-store-json:
-	pytest benchmarks/bench_store.py -q --benchmark-only \
-		--benchmark-disable-gc \
-		--benchmark-json=.bench_store.json
-	python benchmarks/compare_bench.py merge .bench_store.json \
-		--output BENCH_PR10.json
+		--benchmark-json=.bench_$*.json
+	python benchmarks/compare_bench.py merge .bench_$*.json \
+		--output $(BENCH_OUT)
 
 # Static checks: ruff + mypy --strict (each skipped with a notice when
 # not installed -- offline images may lack them), then `repro lint`

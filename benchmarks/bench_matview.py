@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from measure import best_call_time, overhead_ratio
 from repro.mediator import FanoutPolicy, FaultPlan, MatViewPolicy, SystemClock
-from repro.regex.language import clear_caches
+from repro.obs import clear_caches
 from repro.workloads import bibdb, flaky
 
 VIEW = "journalArticles"

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from measure import best_call_time
 from repro.mediator import Source
-from repro.regex.language import clear_caches
+from repro.obs import clear_caches
 from repro.workloads import bibdb
 from repro.xmas import parse_query
 

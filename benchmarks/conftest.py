@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.regex import clear_caches, kernel_summary
+from repro.obs import clear_caches, kernel_summary
 
 
 @pytest.fixture

@@ -27,7 +27,11 @@ CHANGES.md, docs/*.md) and verifies that
    and is exempt;
 6. every **span name** passed literally to ``obs.span(...)`` or
    ``obs.start_span(...)`` under ``src/`` has a row in the span
-   catalogue of ``docs/OBSERVABILITY.md``.
+   catalogue of ``docs/OBSERVABILITY.md``;
+7. every **stats-registry name** (``repro.obs.registry``'s registered
+   caches and sections, populated by importing the packages that
+   register them) has a row in the stats catalogue of
+   ``docs/OBSERVABILITY.md``, and every row there is registered.
 
 Exit status: 0 when everything resolves, 1 otherwise (one line per
 broken reference).  Wired into ``make check-docs`` / ``make check``.
@@ -66,7 +70,8 @@ PATH_TOKEN = re.compile(
 )
 ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 SPAN_CATALOGUE = "## Span catalogue"
-SPAN_ROW = re.compile(r"^\| `([^`]+)` \|", re.MULTILINE)
+STATS_CATALOGUE = "## Stats catalogue"
+NAME_ROW = re.compile(r"^\| `([^`]+)` \|", re.MULTILINE)
 CODE_ROW = re.compile(r"^\| ([A-Z]+[0-9]{3}) \|", re.MULTILINE)
 
 
@@ -195,7 +200,7 @@ def check_span_catalogue() -> list[str]:
     """Every span name ``src/`` opens must be in the span catalogue."""
     doc = (REPO / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
     section = doc.partition(SPAN_CATALOGUE)[2].partition("\n## ")[0]
-    catalogued = set(SPAN_ROW.findall(section))
+    catalogued = set(NAME_ROW.findall(section))
     problems = []
     for path in sorted((REPO / "src").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -210,6 +215,36 @@ def check_span_catalogue() -> list[str]:
             for line, name in spans
             if name not in catalogued
         )
+    return problems
+
+
+def check_stats_catalogue() -> list[str]:
+    """Registered caches/sections and the stats catalogue must agree."""
+    sys.path.insert(0, str(REPO / "src"))
+    # Importing these packages runs every register_cache /
+    # register_stats_section call, filling the registry.
+    import repro.mediator  # noqa: F401
+    import repro.store  # noqa: F401
+    from repro.obs import registry
+
+    registered = {*registry.registered_caches(), *registry.registered_sections()}
+    doc = (REPO / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    head, _, rest = doc.partition(STATS_CATALOGUE)
+    start = len(head) + len(STATS_CATALOGUE)
+    section = rest.partition("\n## ")[0]
+    rows = {match.group(1): match for match in NAME_ROW.finditer(section)}
+    problems = [
+        f"docs/OBSERVABILITY.md: registered stats name {name} "
+        "is not in the stats catalogue"
+        for name in sorted(registered - set(rows))
+    ]
+    for name, match in rows.items():
+        if name not in registered:
+            line = doc.count("\n", 0, start + match.start()) + 1
+            problems.append(
+                f"docs/OBSERVABILITY.md:{line}: catalogued stats name "
+                f"{name} is not registered"
+            )
     return problems
 
 
@@ -237,6 +272,7 @@ def main() -> int:
     problems.extend(check_readme_inventory())
     problems.extend(check_environment_variables(DOC_FILES))
     problems.extend(check_span_catalogue())
+    problems.extend(check_stats_catalogue())
     for problem in problems:
         print(problem)
     checked = ", ".join(str(p.relative_to(REPO)) for p in DOC_FILES)

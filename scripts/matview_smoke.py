@@ -32,7 +32,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.cli import main  # noqa: E402
 from repro.dtd import generate_document, serialize_dtd  # noqa: E402
 from repro.mediator import MatViewPolicy  # noqa: E402
-from repro.regex.language import clear_caches  # noqa: E402
+from repro.obs import clear_caches  # noqa: E402
 from repro.serve import (  # noqa: E402
     MediatorServer,
     ServeClient,

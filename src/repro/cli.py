@@ -897,7 +897,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code = args.func(args)
         if getattr(args, "stats", False):
-            from .regex import render_stats
+            from .obs import render_stats
 
             print(render_stats(), file=sys.stderr)
         return code

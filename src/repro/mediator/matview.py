@@ -43,7 +43,7 @@ Entries are LRU-bounded by an answer-size byte budget and the cache is
 thread-safe: one warm cache is shared by ``ParallelTransport`` workers
 and ``MediatorServer`` handler threads.  Counters fold into
 ``kernel_stats()`` (section ``"matview"``) and reset with
-``clear_caches()`` through the :mod:`repro.regex.kernel` registry.
+``clear_caches()`` through the :mod:`repro.obs.registry`.
 Delta maintenance is mediator-local: it re-evaluates over the
 mediator's own reference to the dirty document, never through the
 source transport -- no retries, no latency, deterministic under
@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .. import obs
 from ..errors import STALE_DELTA_FALLBACK
-from ..regex import kernel
+from ..obs import registry
 from ..xmas import Query, evaluate_many
 from ..xmas.engine import CompiledPlan, PickOrigin, compile_query
 from ..xmlmodel import Document
@@ -714,7 +714,7 @@ class MatViewCache:
 
 
 # ---------------------------------------------------------------------------
-# kernel-registry integration
+# stats-registry integration
 # ---------------------------------------------------------------------------
 
 _LIVE_CACHES: "weakref.WeakSet[MatViewCache]" = weakref.WeakSet()
@@ -745,17 +745,6 @@ def _aggregate() -> dict:
     return totals
 
 
-def _registry_info() -> dict:
-    totals = _aggregate()
-    return {
-        "hits": totals["hits"],
-        "misses": totals["misses"],
-        "invalidations": totals["invalidations"],
-        "size": totals["entries"],
-    }
-
-
-kernel.register_cache(
-    "mediator.matview", _clear_live_caches, _registry_info
+registry.register_stats_section(
+    "matview", _aggregate, _clear_live_caches, "matview cache"
 )
-kernel.register_stats_section("matview", _aggregate)

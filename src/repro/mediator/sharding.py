@@ -71,8 +71,8 @@ from .. import obs
 from ..dtd import Dtd, Pcdata, validate_document
 from ..dtd.analysis import reachable_names
 from ..errors import ShardConfigError
+from ..obs import registry
 from ..regex import is_subset
-from ..regex import kernel
 from ..xmas import Query
 from ..xmas.engine import (
     CompiledPlan,
@@ -523,7 +523,7 @@ class ShardedSource(Source):
 
 
 # ---------------------------------------------------------------------------
-# kernel-registry integration
+# stats-registry integration
 # ---------------------------------------------------------------------------
 
 _LIVE_SHARDED: "weakref.WeakSet[ShardedSource]" = weakref.WeakSet()
@@ -557,14 +557,6 @@ def _aggregate() -> dict:
     return totals
 
 
-def _registry_info() -> dict:
-    totals = _aggregate()
-    return {
-        "hits": totals["pruned"],
-        "misses": totals["called"],
-        "size": totals["shards"],
-    }
-
-
-kernel.register_cache("mediator.sharding", _clear_stats, _registry_info)
-kernel.register_stats_section("sharding", _aggregate)
+registry.register_stats_section(
+    "sharding", _aggregate, _clear_stats, "sharded sources"
+)

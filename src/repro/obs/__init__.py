@@ -8,7 +8,10 @@ introspection only; this package ties one query together end to end:
   attributes, events, Chrome ``trace_event`` export, and a no-op fast
   path when no tracer is installed (the default);
 * :mod:`repro.obs.metrics` -- process-local counters, gauges, and
-  histograms, snapshotted into ``kernel_stats()["obs"]``.
+  histograms, snapshotted into ``kernel_stats()["obs"]``;
+* :mod:`repro.obs.registry` -- the process-wide cache and stats
+  registry every layer reports through (:func:`clear_caches`,
+  :func:`kernel_stats`, :func:`render_stats`).
 
 Enable with :func:`install_tracer` (CLI: ``repro ask --trace out.json``
 or ``repro trace``); everything stays deterministic under the
@@ -17,7 +20,6 @@ transport's ``FakeClock``.  See docs/OBSERVABILITY.md.
 
 from __future__ import annotations
 
-from ..regex import kernel
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -26,6 +28,7 @@ from .metrics import (
     MetricsRegistry,
     REGISTRY,
 )
+from .registry import clear_caches, kernel_stats, kernel_summary, render_stats
 from .tracing import (
     NOOP_SPAN,
     Span,
@@ -44,12 +47,6 @@ from .tracing import (
     uninstall_tracer,
 )
 
-# clear_caches() resets the metrics registry with the kernel caches
-# (info=None keeps it out of the hit/miss cache table); the full
-# metrics tree appears as its own kernel_stats() section instead.
-kernel.register_cache("obs.metrics", REGISTRY.reset)
-kernel.register_stats_section("obs", REGISTRY.snapshot)
-
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
@@ -63,10 +60,14 @@ __all__ = [
     "Tracer",
     "active_tracer",
     "attach",
+    "clear_caches",
     "enabled",
     "event",
     "finish_span",
     "install_tracer",
+    "kernel_stats",
+    "kernel_summary",
+    "render_stats",
     "set_attribute",
     "span",
     "start_span",

@@ -13,8 +13,9 @@ Public surface:
 * Simplification: :func:`simplify`, :func:`simplify_deep`
 * Counting and sampling: :mod:`repro.regex.counting`,
   :mod:`repro.regex.sampling`
-* Kernel caches and statistics: :mod:`repro.regex.kernel`
-  (:func:`kernel_stats`, :func:`clear_caches`)
+
+The kernel's caches register with :mod:`repro.obs.registry`
+(:func:`repro.obs.kernel_stats`, :func:`repro.obs.clear_caches`).
 """
 
 from .ast import (
@@ -45,7 +46,6 @@ from .ast import (
     sym,
     symbols,
 )
-from .kernel import kernel_stats, kernel_summary, register_cache, render_stats
 from .counting import (
     count_words_by_length,
     count_words_up_to,
@@ -54,7 +54,6 @@ from .counting import (
 )
 from .language import (
     canonical_signature,
-    clear_caches,
     difference_witness,
     is_empty,
     is_equivalent,
@@ -85,7 +84,6 @@ __all__ = [
     "alphabet",
     "alt",
     "canonical_signature",
-    "clear_caches",
     "concat",
     "count_words_by_length",
     "count_words_up_to",
@@ -95,8 +93,6 @@ __all__ = [
     "is_equivalent",
     "is_proper_subset",
     "is_subset",
-    "kernel_stats",
-    "kernel_summary",
     "language_density",
     "letters",
     "looseness_factor",
@@ -105,8 +101,6 @@ __all__ = [
     "minimal_dfa",
     "names",
     "nullable",
-    "register_cache",
-    "render_stats",
     "opt",
     "parse_regex",
     "plus",

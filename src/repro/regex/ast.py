@@ -32,9 +32,9 @@ structural walk.  The intern tables hold strong references (the node
 universe of a mediator run is small and heavily reused, so a
 process-wide canonical store beats weak tables that would let hot
 nodes die between inference rounds and force re-derivation); they
-survive :func:`repro.regex.clear_caches` on purpose, which keeps
+survive :func:`repro.obs.clear_caches` on purpose, which keeps
 pointer-equality stable across cache resets.  See
-:mod:`repro.regex.kernel` for the cache registry and interning
+:mod:`repro.obs.registry` for the cache registry and interning
 statistics.
 
 Use the smart constructors :func:`concat`, :func:`alt`, :func:`star`,
@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 from functools import lru_cache
 from typing import Any, Iterable, Iterator, Mapping
 
-from . import kernel
+from ..obs import registry
 
 #: An automaton letter: a (element name, specialization tag) pair.
 Letter = tuple[str, int]
@@ -83,7 +83,7 @@ class _InternMeta(type):
         super().__init__(name, bases, namespace, **kwargs)
         table: dict[tuple, "Regex"] = {}
         cls._intern_table = table
-        kernel.register_intern_table(name, lambda t=table: len(t))
+        registry.register_intern_table(name, lambda t=table: len(t))
 
     def __call__(cls, *args: Any, **kwargs: Any) -> "Regex":
         if kwargs or len(args) != cls._n_fields():
@@ -91,9 +91,9 @@ class _InternMeta(type):
         table = cls._intern_table
         node = table.get(args)
         if node is not None:
-            kernel.INTERN_HITS[cls.__name__] += 1
+            registry.INTERN_HITS[cls.__name__] += 1
             return node
-        kernel.INTERN_MISSES[cls.__name__] += 1
+        registry.INTERN_MISSES[cls.__name__] += 1
         node = super().__call__(*args)
         table[args] = node
         return node
@@ -482,7 +482,7 @@ def image(r: Regex) -> Regex:
     return r
 
 
-kernel.register_lru("ast.image", image)
+registry.register_lru("ast.image", image)
 
 
 def rename(r: Regex, mapping: Mapping[Letter, Sym]) -> Regex:

@@ -21,8 +21,8 @@ per-call constructions:
 * :func:`is_subset` runs its difference product on cached *minimal*
   automata after an O(1) signature fast path.
 
-Every cache registers with :mod:`repro.regex.kernel`, so
-:func:`clear_caches` and the stats surface cover them all.
+Every cache registers with :mod:`repro.obs.registry`, so
+:func:`repro.obs.clear_caches` and the stats surface cover them all.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from . import kernel
+from ..obs import registry
 from .ast import Regex, Sym
 from .dfa import (
     EMPTY_SIGNATURE,
@@ -53,7 +53,7 @@ def _dfa(regex: Regex) -> Dfa:
     return dfa_from_regex(regex)
 
 
-kernel.register_lru("language.dfa", _dfa)
+registry.register_lru("language.dfa", _dfa)
 
 
 @lru_cache(maxsize=None)
@@ -61,7 +61,7 @@ def _min_dfa(regex: Regex) -> Dfa:
     return minimize(_dfa(regex))
 
 
-kernel.register_lru("language.min_dfa", _min_dfa)
+registry.register_lru("language.min_dfa", _min_dfa)
 
 
 #: Interning table for signatures: equal fingerprints become the same
@@ -80,8 +80,8 @@ def canonical_signature(regex: Regex) -> Signature:
     return _SIGNATURES.setdefault(sig, sig)
 
 
-kernel.register_lru("language.signature", canonical_signature)
-kernel.register_cache(
+registry.register_lru("language.signature", canonical_signature)
+registry.register_cache(
     "language.signature_intern",
     _SIGNATURES.clear,
     lambda: {"size": len(_SIGNATURES)},
@@ -107,7 +107,7 @@ def minimal_dfa(regex: Regex) -> Dfa:
 #: are hash-consed, so identity-keyed path compression is sound.
 _EQUIV_PARENT: dict[Regex, Regex] = {}
 
-kernel.register_cache(
+registry.register_cache(
     "language.equiv_union_find",
     _EQUIV_PARENT.clear,
     lambda: {"size": len(_EQUIV_PARENT)},
@@ -131,17 +131,17 @@ def _find(regex: Regex) -> Regex:
 def is_equivalent(left: Regex, right: Regex) -> bool:
     """Language equality of the two expressions."""
     if left is right:
-        kernel.EVENTS["equiv.identity"] += 1
+        registry.EVENTS["equiv.identity"] += 1
         return True
     root_left, root_right = _find(left), _find(right)
     if root_left is root_right:
-        kernel.EVENTS["equiv.union_find_hit"] += 1
+        registry.EVENTS["equiv.union_find_hit"] += 1
         return True
     if canonical_signature(root_left) is canonical_signature(root_right):
         _EQUIV_PARENT[root_left] = root_right
-        kernel.EVENTS["equiv.signature_equal"] += 1
+        registry.EVENTS["equiv.signature_equal"] += 1
         return True
-    kernel.EVENTS["equiv.signature_distinct"] += 1
+    registry.EVENTS["equiv.signature_distinct"] += 1
     return False
 
 
@@ -165,7 +165,7 @@ def is_empty(regex: Regex) -> bool:
     return _dfa(regex).is_empty()
 
 
-kernel.register_lru("language.is_empty", is_empty)
+registry.register_lru("language.is_empty", is_empty)
 
 
 def _aligned(left: Regex, right: Regex) -> tuple[Dfa, Dfa]:
@@ -185,7 +185,7 @@ def _subset_of(left: Regex, right: Regex) -> bool:
     return difference.is_empty()
 
 
-kernel.register_lru("language.subset", _subset_of)
+registry.register_lru("language.subset", _subset_of)
 
 
 def is_subset(left: Regex, right: Regex) -> bool:
@@ -200,7 +200,7 @@ def is_subset(left: Regex, right: Regex) -> bool:
         return True
     sig_left = canonical_signature(left)
     if sig_left is EMPTY_SIGNATURE or sig_left is canonical_signature(right):
-        kernel.EVENTS["subset.signature_fast_path"] += 1
+        registry.EVENTS["subset.signature_fast_path"] += 1
         return True
     return _subset_of(left, right)
 
@@ -224,14 +224,3 @@ def difference_witness(left: Regex, right: Regex) -> list[Letter] | None:
     a, b = _aligned(left, right)
     difference = product(a, b, lambda x, y: x and not y)
     return difference.shortest_word()
-
-
-def clear_caches() -> None:
-    """Drop every registered kernel cache (between benchmark rounds).
-
-    Delegates to the central registry in :mod:`repro.regex.kernel`:
-    automata, signatures, the union-find, and all event counters are
-    registered there, so nothing can be missed by this function going
-    stale.
-    """
-    kernel.clear_all()

@@ -29,6 +29,7 @@ relationship to the paper's mediator architecture.
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -285,9 +286,17 @@ class MediatorServer:
                 line = reader.readline(protocol.MAX_LINE_BYTES + 1)
                 if not line:
                     break
-                line = line.strip()
-                if not line:
-                    continue
+                oversized = len(line) > protocol.MAX_LINE_BYTES
+                if oversized and not line.endswith(b"\n"):
+                    # Oversized: drop the rest of the line, so that it
+                    # earns exactly one (SRV001) response.
+                    rest = line
+                    while rest and not rest.endswith(b"\n"):
+                        rest = reader.readline(protocol.MAX_LINE_BYTES)
+                else:
+                    line = line.strip()
+                    if not line:
+                        continue
                 response, shutdown = self._handle_line(line)
                 try:
                     connection.sendall(protocol.encode(response))
@@ -367,9 +376,11 @@ class MediatorServer:
                 "union request needs a string 'view' field"
             )
         budget = request.get("budget", self.policy.default_budget)
-        if not isinstance(budget, (int, float)) or budget <= 0:
+        if isinstance(budget, bool) or not (
+            isinstance(budget, (int, float)) and 0 < budget < math.inf
+        ):
             raise protocol.ProtocolError(
-                "'budget' must be a positive number of seconds"
+                "'budget' must be a finite positive number of seconds"
             )
         degrade = bool(request.get("degrade", True))
         use_cache = bool(request.get("cache", True))

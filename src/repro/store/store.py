@@ -34,7 +34,7 @@ Payload reads go through a **page cache**: rows are fetched
 ``policy.page_size`` at a time and at most ``policy.max_pages`` pages
 stay resident (LRU), so the payload memory of a query sweep is bounded
 by ``page_size * max_pages`` rows regardless of corpus size.  The
-cache registers with the :mod:`repro.regex.kernel` registry
+cache registers with the :mod:`repro.obs.registry`
 (``store.pages``): ``clear_caches()`` drops it and ``kernel_stats()``
 reports hits/misses/evictions.
 
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..errors import StoreError, StoreFormatError, StoreStaleError
-from ..regex import kernel
+from ..obs import registry
 from ..xmlmodel.element import fresh_id
 from ..xmlmodel.parser import XmlEvent, iter_document_events
 from .document import StoredDocument
@@ -627,7 +627,7 @@ def _document_events(document: "Document") -> Iterator[XmlEvent]:
 
 
 # ---------------------------------------------------------------------------
-# kernel registry: one entry aggregating every live store
+# stats registry: one entry aggregating every live store
 # ---------------------------------------------------------------------------
 
 _LIVE_STORES: "weakref.WeakSet[DocumentStore]" = weakref.WeakSet()
@@ -654,4 +654,4 @@ def _store_cache_info() -> dict:
     return totals
 
 
-kernel.register_cache("store.pages", _clear_store_caches, _store_cache_info)
+registry.register_cache("store.pages", _clear_store_caches, _store_cache_info)

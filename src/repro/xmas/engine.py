@@ -38,7 +38,7 @@ that fail it are answered by the matcher's full enumeration, which
 ``tests/xmas/test_engine_differential.py`` also uses as the oracle for
 pick-projection.
 
-The plan cache registers with the :mod:`repro.regex.kernel` registry,
+The plan cache registers with the :mod:`repro.obs.registry`,
 so ``clear_caches()`` / ``kernel_stats()`` / CLI ``--stats`` cover it
 alongside the language kernel's caches.
 """
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .. import obs
-from ..regex import kernel
+from ..obs import registry
 from ..xmlmodel import Document, Element, fresh_id
 from ..xmlmodel import index as _index_module
 from ..xmlmodel.index import DocumentIndex, document_index
@@ -225,7 +225,7 @@ def _clear_plan_cache() -> None:
         _plan_misses = 0
 
 
-kernel.register_cache(
+registry.register_cache(
     "engine.plans",
     _clear_plan_cache,
     lambda: {
@@ -627,7 +627,7 @@ def _picked_with_origins(
     matcher's full enumeration.
     """
     if not plan.projectable:
-        kernel.EVENTS["engine.fallback"] += 1
+        registry.EVENTS["engine.fallback"] += 1
         picked = legacy_picked_elements(query, document)
         if origins is not None:
             index = document_index(document)
@@ -640,7 +640,7 @@ def _picked_with_origins(
                         PickOrigin(ordinal, pos, index.end[pos])
                     )
         return picked
-    kernel.EVENTS["engine.projected"] += 1
+    registry.EVENTS["engine.projected"] += 1
     index = document_index(document)
     positions = _PlanRun(plan, index).picked_positions()
     if origins is not None:

@@ -18,7 +18,7 @@ without ``RecursionError``.
 
 Indexes are cached per document object (weakly, so dropping a document
 drops its index) and the cache registers with the
-:mod:`repro.regex.kernel` registry: ``clear_caches()`` empties it and
+:mod:`repro.obs.registry`: ``clear_caches()`` empties it and
 ``kernel_stats()`` reports its hit/miss/size counters.
 """
 
@@ -29,7 +29,7 @@ import weakref
 from bisect import bisect_left
 from operator import attrgetter
 
-from ..regex import kernel
+from ..obs import registry
 from .element import Document, Element, mutation_stamp
 
 _VERSION_OF = attrgetter("mutation_version")
@@ -193,7 +193,7 @@ def _clear_index_cache() -> None:
         _index_content_rearms = 0
 
 
-kernel.register_cache(
+registry.register_cache(
     "engine.doc_index",
     _clear_index_cache,
     lambda: {

@@ -23,7 +23,6 @@ from repro.mediator import (
     TransportPolicy,
 )
 from repro.mediator.parallel import MIN_TIMEOUT
-from repro.regex import kernel
 from repro.workloads.flaky import build_flaky_federation
 
 LATENCIES = [0.1, 0.2, 0.3, 0.4]
@@ -300,7 +299,7 @@ class TestDeterminism:
     )
 
     def run_once(self, max_workers):
-        kernel.clear_all()
+        obs.clear_caches()
         clock = FakeClock()
         tracer = obs.install_tracer(obs.Tracer(clock=clock))
         try:

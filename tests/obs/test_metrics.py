@@ -3,9 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.obs import MetricsRegistry
-from repro.regex import kernel
-from repro.regex.language import clear_caches
+from repro.obs import MetricsRegistry, clear_caches, kernel_stats, render_stats
 
 
 @pytest.fixture
@@ -81,7 +79,7 @@ class TestKernelIntegration:
     def test_obs_section_in_kernel_stats(self):
         clear_caches()
         obs.REGISTRY.counter("test.probe").inc(5)
-        stats = kernel.kernel_stats()
+        stats = kernel_stats()
         assert stats["obs"]["counters"]["test.probe"] == 5
         clear_caches()
 
@@ -94,7 +92,7 @@ class TestKernelIntegration:
         clear_caches()
         obs.REGISTRY.counter("spans.test").inc(2)
         obs.REGISTRY.histogram("span.test").observe(0.001)
-        rendered = kernel.render_stats()
+        rendered = render_stats()
         assert "obs metrics:" in rendered
         assert "spans.test" in rendered
         clear_caches()

@@ -4,7 +4,7 @@ Covers the interning semantics of :mod:`repro.regex.ast`, the derived
 facts carried on nodes, signature-based equivalence against the
 product-automaton oracle in ``tests/oracles.py`` (differential, on
 random expressions), and the cache registry / statistics surface of
-:mod:`repro.regex.kernel`.
+:mod:`repro.obs.registry` as the kernel reports through it.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ from repro.regex import (
     Star,
     Sym,
     canonical_signature,
-    clear_caches,
     concat,
     is_equivalent,
-    kernel_stats,
-    kernel_summary,
     letters,
     matches,
     nullable,
@@ -35,7 +32,7 @@ from repro.regex import (
     star,
     sym,
 )
-from repro.regex import kernel
+from repro.obs import clear_caches, kernel_stats, kernel_summary, registry
 from repro.regex.ast import Alt, Empty, Epsilon, Opt, Plus, Regex, symbols
 
 from tests.oracles import is_equivalent_pairwise
@@ -147,7 +144,7 @@ class TestSignatureEquivalence:
 
 class TestKernelRegistry:
     def test_registry_names_cover_the_language_caches(self):
-        names = kernel.registered_caches()
+        names = registry.registered_caches()
         for expected in (
             "ast.image",
             "language.dfa",
@@ -196,16 +193,16 @@ class TestKernelRegistry:
 
     def test_render_stats_mentions_every_section(self):
         is_equivalent(parse_regex("a"), parse_regex("a"))
-        text = kernel.render_stats()
+        text = registry.render_stats()
         assert "interned nodes" in text
         assert "caches" in text
         assert "language.signature" in text
 
     def test_every_stats_section_resets_with_clear_caches(self):
-        # Regression: a stats section registered without a paired
-        # cache-clear hook survives clear_caches() with stale counters.
-        # Put traffic through every section owner, clear, and demand
-        # zeros everywhere.
+        # Every registered section, and the registry's own obs
+        # metrics, must read zero after clear_caches().  Put traffic
+        # through every section owner, clear, and demand zeros
+        # everywhere.
         from repro import obs
         from repro.mediator import MatViewCache
 
@@ -224,7 +221,7 @@ class TestKernelRegistry:
             pass
         clear_caches()
         stats = kernel_stats()
-        for name in kernel.registered_sections():
+        for name in (*registry.registered_sections(), "obs"):
             assert name in stats
             all_zero(stats[name], name)
         assert cache.info()["bypasses"] == 0

@@ -101,6 +101,47 @@ class TestServerBasics:
             finally:
                 raw.close()
 
+    def test_oversized_line_gets_exactly_one_response(self):
+        import json
+        import socket as socket_module
+
+        from repro.serve.protocol import MAX_LINE_BYTES
+
+        padding = "x" * (150 * 1024)
+        oversized = json.dumps({"op": "ping", "pad": padding}).encode()
+        assert len(oversized) > 2 * MAX_LINE_BYTES
+        with paper_server() as server:
+            host, port = server.address
+            raw = socket_module.create_connection((host, port), timeout=5)
+            try:
+                raw.sendall(oversized + b'\n{"op": "ping", "id": 7}\n')
+                reader = raw.makefile("rb")
+                error = json.loads(reader.readline())
+                assert error["ok"] is False
+                assert error["error"]["code"] == "SRV001"
+                pong = json.loads(reader.readline())
+                assert pong == {"ok": True, "pong": True, "id": 7}
+            finally:
+                raw.close()
+            assert server.stats.snapshot()["requests"] == 2
+
+    def test_budget_must_be_finite_positive_and_not_bool(self):
+        with paper_server() as server:
+            host, port = server.address
+            with ServeClient(host, port) as client:
+                for budget in (float("nan"), float("inf"), True) * 3:
+                    with pytest.raises(RequestFailed) as excinfo:
+                        client.union(VIEW, budget=budget)
+                    assert excinfo.value.server_code == "SRV001"
+                health = client.health()
+                assert all(
+                    entry["breaker"] == "closed"
+                    for entry in health.values()
+                )
+                response = client.union(VIEW, budget=5.0)
+                assert "<journals>" in response["answer"]
+                assert response["degraded"] is False
+
     def test_unknown_op(self):
         with paper_server() as server:
             host, port = server.address

@@ -298,8 +298,7 @@ class TestPageCache:
             assert info["page_hits"] >= 1
 
     def test_drop_caches_and_kernel_registry(self):
-        from repro.regex.kernel import kernel_stats
-        from repro.regex.language import clear_caches
+        from repro.obs import clear_caches, kernel_stats
 
         with DocumentStore(":memory:") as store:
             stored = store.ingest_text(SAMPLE)

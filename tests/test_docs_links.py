@@ -122,6 +122,35 @@ class TestChecker:
             "is not registered"
         ]
 
+    def test_uncatalogued_stats_are_caught(self, tmp_path, monkeypatch):
+        checker = load_checker()
+        monkeypatch.setattr(checker, "REPO", tmp_path)
+        import repro.mediator  # noqa: F401  (registers engine/matview/sharding)
+        import repro.store  # noqa: F401  (registers store.pages)
+        from repro.obs import registry
+
+        names = sorted(
+            {*registry.registered_caches(), *registry.registered_sections()}
+        )
+        assert "engine.plans" in names and "matview" in names
+        rows = [f"| `{name}` | registered |" for name in names]
+        rows.remove("| `engine.plans` | registered |")
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "OBSERVABILITY.md").write_text(
+            "## Stats catalogue\n\n| name | counts |\n|---|---|\n"
+            + "\n".join(rows)
+            + "\n| `gone.cache` | a deleted cache left behind |\n\n"
+            "## Trace format\n\n"
+            "| `after.catalogue` | not a catalogue row |\n"
+        )
+        problems = checker.check_stats_catalogue()
+        assert problems == [
+            "docs/OBSERVABILITY.md: registered stats name engine.plans "
+            "is not in the stats catalogue",
+            f"docs/OBSERVABILITY.md:{len(rows) + 5}: catalogued stats "
+            "name gone.cache is not registered",
+        ]
+
     def test_repo_markdown_corpus_is_clean(self):
         """README + docs must not drift from the tree (make check-docs)."""
         checker = load_checker()
@@ -131,4 +160,5 @@ class TestChecker:
         problems.extend(checker.check_diagnostic_catalogue())
         problems.extend(checker.check_environment_variables(checker.DOC_FILES))
         problems.extend(checker.check_span_catalogue())
+        problems.extend(checker.check_stats_catalogue())
         assert problems == []

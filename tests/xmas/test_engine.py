@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.regex import clear_caches, kernel_stats
+from repro.obs import clear_caches, kernel_stats
 from repro.xmas import (
     compile_query,
     cond,

@@ -62,7 +62,7 @@ def test_view_documents_agree(document, query):
 def test_plan_compilation_idempotent(query):
     """Compiling twice returns the cached plan; recompiling from a
     cleared cache yields an equal plan (compilation is deterministic)."""
-    from repro.regex import clear_caches
+    from repro.obs import clear_caches
 
     first = compile_query(query)
     assert compile_query(query) is first

@@ -9,7 +9,7 @@ validates hits against it.
 
 import pytest
 
-from repro.regex.language import clear_caches
+from repro.obs import clear_caches, kernel_stats
 from repro.xmas import evaluate_many, parse_query
 from repro.xmlmodel import (
     Document,
@@ -42,9 +42,7 @@ def small_document() -> Document:
 
 
 def index_stats() -> dict:
-    from repro.regex import kernel
-
-    return kernel.kernel_stats()["caches"]["engine.doc_index"]
+    return kernel_stats()["caches"]["engine.doc_index"]
 
 
 class TestStampValidation:
