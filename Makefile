@@ -60,7 +60,7 @@ bench-engine-json:
 #                              <= 1.3x the slowest source, serve
 #                              throughput
 #   matview   BENCH_PR8.json   warm hit >= 20x cold, delta >= 3x full
-#                              recompute, disabled path < 3% overhead
+#                              recompute
 #   sharding  BENCH_PR9.json   prune correctness at every rung of a
 #                              1 -> 64 shard ladder, best rung >= 3x
 #   store     BENCH_PR10.json  stored == in-memory answers, cold

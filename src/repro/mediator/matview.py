@@ -84,8 +84,6 @@ if TYPE_CHECKING:
 class MatViewPolicy:
     """Knobs for a mediator's materialized-view cache.
 
-    ``enabled=False`` keeps the cache object but never serves from it
-    (the cheap comparator for the disabled-overhead benchmark gate);
     ``delta=False`` disables splicing, so any mutation of a
     contributing document costs a full recompute; ``max_bytes`` bounds
     the sum of cached answer-size estimates (LRU eviction).  Every
@@ -93,7 +91,6 @@ class MatViewPolicy:
     release (a soundness check, always on).
     """
 
-    enabled: bool = True
     delta: bool = True
     max_bytes: int = 8 << 20
 
@@ -304,7 +301,7 @@ class CacheOutcome:
 
     ``status`` is ``"hit"`` / ``"delta"`` / ``"miss"``; on a miss
     ``reason`` says why (``cold`` / ``stale`` / ``docs-changed`` /
-    ``stale-delta`` / ``disabled``) and ``token`` (when cacheable)
+    ``stale-delta``) and ``token`` (when cacheable)
     should be passed to :meth:`MatViewCache.store` with the computed
     answer.
     """
@@ -431,8 +428,6 @@ class MatViewCache:
 
         Returns ``"hit"``, ``"delta"``, ``"recompute"``, or ``"cold"``.
         """
-        if not self.policy.enabled:
-            return "disabled"
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -459,8 +454,6 @@ class MatViewCache:
         after recomputing.
         """
         legs = tuple(legs)
-        if not self.policy.enabled:
-            return CacheOutcome("miss", reason="disabled")
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:

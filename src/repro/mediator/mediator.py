@@ -15,6 +15,7 @@ valid sub-conditions are pruned before evaluation.
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -101,7 +102,7 @@ class QueryPlan:
     #: tracing was disabled and ``explain`` could not install a tracer)
     trace_lines: list[str] = field(default_factory=list)
     #: what the materialized-view cache would do with this request:
-    #: "off" (no cache), "disabled", "cold", "hit", "delta", "recompute"
+    #: "off" (no cache), "cold", "hit", "delta", "recompute"
     cache_status: str = "off"
 
     def describe(self) -> str:
@@ -207,7 +208,7 @@ class Mediator:
                 if isinstance(cache, MatViewCache)
                 else MatViewCache(cache)
             )
-            if self.matview.policy.enabled and self.matview.policy.delta:
+            if self.matview.policy.delta:
                 # Delta splicing needs the engine's pick provenance.
                 enable_provenance()
         self.sources: dict[str, Source] = {}
@@ -375,7 +376,6 @@ class Mediator:
         view_name: str,
         use_simplifier: bool = True,
         strategy: str = "auto",
-        preflight: bool | None = None,
         deadline: Deadline | None = None,
         degrade: bool = True,
         cache: bool = True,
@@ -386,9 +386,7 @@ class Mediator:
         static pre-flight rejects unsatisfiable queries with the empty
         view without materializing anything (recording the skipped
         fan-out), and valid sub-conditions are pruned.
-
-        ``preflight`` defaults to ``use_simplifier``; pass ``False`` to
-        measure the un-assisted path.
+        ``use_simplifier=False`` measures the un-assisted path.
 
         ``strategy`` selects the execution plan:
 
@@ -412,33 +410,32 @@ class Mediator:
         self.stats.queries += 1
         self.last_degradation = None
         effective = query
-        run_preflight = use_simplifier if preflight is None else preflight
         cached, token = self._cache_step(
             cache,
             lambda: self._query_cache_entry(
-                query, view_name, use_simplifier, strategy, run_preflight
+                query, view_name, use_simplifier, strategy
             ),
             view_name,
             None,
         )
         if cached is not None:
             return cached
-        tightening = None
         with obs.span("mediator.query_view") as sp:
             sp.set_attribute("view", view_name)
-            if run_preflight:
+            if use_simplifier:
                 shared: dict = {}
                 report = self.preflight(query, view_name, cache=shared)
-                tightening = shared.get("tighten")
                 if report.has_errors:
                     self.stats.preflight_rejections += 1
                     self.stats.fanouts_skipped += 1
                     self.stats.answered_without_source += 1
                     sp.set_attribute("outcome", "preflight_rejected")
                     return _empty_answer(query.view_name)
-            if use_simplifier:
                 decision: SimplifierDecision = simplify_query(
-                    query, registration.dtd, self.mode, tightening=tightening
+                    query,
+                    registration.dtd,
+                    self.mode,
+                    tightening=shared.get("tighten"),
                 )
                 if decision.answer_is_empty:
                     self.stats.answered_without_source += 1
@@ -521,8 +518,6 @@ class Mediator:
         answer = token = None
         if mv is None:
             outcome = "off"
-        elif not mv.policy.enabled:
-            outcome = "disabled"
         elif not cache:
             mv.note_bypass()
             outcome = "bypass"
@@ -540,7 +535,6 @@ class Mediator:
         view_name: str,
         use_simplifier: bool = True,
         strategy: str = "auto",
-        preflight: bool = True,
     ) -> CacheEntry:
         """The matview ``(key, legs)`` of a query against a view; the
         defaults are :meth:`query_view`'s, which :meth:`explain` plans."""
@@ -551,7 +545,6 @@ class Mediator:
             query_signature(query),
             use_simplifier,
             strategy,
-            preflight,
         )
         return key, (CacheLeg(source_name, self.sources[source_name], None),)
 
@@ -803,12 +796,20 @@ class Mediator:
             sp.set_attribute("sources", len(registration.source_names))
             results = self.parallel.fan_out(
                 [
-                    (self.transports[source_name], branch.query)
+                    (
+                        source_name,
+                        functools.partial(
+                            self._call_source,
+                            source_name,
+                            branch.query,
+                            deadline,
+                        ),
+                        self.transports[source_name].latency,
+                    )
                     for branch, source_name in zip(
                         registration.branches, registration.source_names
                     )
-                ],
-                deadline,
+                ]
             )
             for result in results:
                 error = result.error

@@ -36,18 +36,20 @@ fragment's answer empty — the shard is never called
 (:func:`fragment_can_match`).  Prunes are counted in the ``sharding``
 section of ``kernel_stats()`` and traced under ``shard.prune`` spans.
 
-**Scatter-gather.**  Surviving shards fan out through the existing
-:class:`~repro.mediator.parallel.ParallelTransport`: per-shard
-circuit breakers, retry/backoff, latency histograms, slowest-p95-first
-dispatch, and p95-derived timeouts all generalize from per-source to
-per-shard for free.  Answers merge **deterministically in
-shard order** (fan-out results come back in input leg order, so the
-merge — and therefore every trace and counter — is run-identical
-under :class:`~repro.mediator.transport.FakeClock`).  A shard that
-fails permanently fails the logical call with the leg's own error, as
-an unsharded source would: the outer transport's retry policy then
-re-gathers, and a mediator union skips the whole source and validates
-and flags its degraded answer.
+**Scatter-gather.**  Surviving shards' ``query()`` calls fan out
+through the existing :class:`~repro.mediator.parallel.ParallelTransport`
+(in shard order; a shard keeps no latency history of its own).
+Answers merge **deterministically in shard order** (fan-out results
+come back in input leg order, so the merge — and therefore every trace
+and counter — is run-identical under
+:class:`~repro.mediator.transport.FakeClock`).  A shard has no
+transport of its own: the mediator's one
+:class:`~repro.mediator.transport.SourceTransport` per logical source
+times, retries and breaks the whole gather.  A shard that fails fails
+the logical call with its own error (the first in shard order), as an
+unsharded source would: the mediator's transport then re-gathers
+under the mediator's policy, and a mediator union skips the whole
+source and validates and flags its degraded answer.
 
 The merged answer re-registers engine pick provenance with document
 ordinals shifted into the logical document list, so the materialized-
@@ -57,12 +59,13 @@ shard-locally — the delta query re-runs over the one dirty fragment
 document only.
 
 See docs/SHARDING.md for the fragmentation model, the pruning
-soundness argument, per-shard fault semantics, and the benchmark
+soundness argument, shard fault semantics, and the benchmark
 methodology behind ``benchmarks/bench_sharding.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import weakref
 from dataclasses import dataclass
@@ -85,12 +88,7 @@ from ..xmas.engine import (
 from ..xmlmodel import Document, Element, fresh_id
 from .parallel import FanoutPolicy, ParallelTransport
 from .source import Source
-from .transport import (
-    Clock,
-    SourceTransport,
-    SystemClock,
-    TransportPolicy,
-)
+from .transport import Clock, SystemClock
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +105,7 @@ class ShardStats:
     shards_pruned: int = 0
     #: shard legs actually dispatched
     shards_called: int = 0
-    #: legs that failed permanently (timeout / unavailable)
+    #: shard legs that raised (each fails its logical call)
     shard_failures: int = 0
     #: queries answered empty with zero shard calls (all shards pruned)
     all_pruned: int = 0
@@ -286,8 +284,8 @@ class ShardedSource(Source):
 
     Constructed from ordinary :class:`Source` objects (one per
     fragment, each typed by its fragment DTD) and usable everywhere a
-    ``Source`` is: ``Mediator.add_source`` wraps it in the outer
-    transport unchanged, ``documents`` presents the concatenated
+    ``Source`` is: ``Mediator.add_source`` wraps it in the mediator's
+    one transport unchanged, ``documents`` presents the concatenated
     fragment documents in stable shard order (which is what keys
     matview cache entries per shard document), and ``query()`` runs
     prune → scatter → gather → merge.
@@ -305,7 +303,6 @@ class ShardedSource(Source):
         dtd: Dtd,
         shards: "list[Source]",
         *,
-        transport_policy: TransportPolicy | None = None,
         clock: Clock | None = None,
         fanout: FanoutPolicy | None = None,
         validate: bool = True,
@@ -333,14 +330,6 @@ class ShardedSource(Source):
                 raise ShardConfigError(
                     f"shard {shard.name!r} of {name!r}: {problem}"
                 )
-        transport_policy = transport_policy or TransportPolicy()
-        #: one transport per shard: per-shard breaker, retry policy,
-        #: latency histogram — the cost model the dispatch order and
-        #: derived timeouts run on
-        self.transports = [
-            SourceTransport(shard, transport_policy, self.clock)
-            for shard in shards
-        ]
         #: the shard gather (``fanout=None`` runs legs inline, see
         #: :data:`~repro.mediator.parallel.INLINE`)
         self.parallel = ParallelTransport(self.clock, fanout)
@@ -421,21 +410,15 @@ class ShardedSource(Source):
                 pruned.append(shard.name)
         return survivors, pruned
 
-    def shard_health(self) -> dict[str, dict]:
-        """Per-shard transport health (breaker states, retries, ...)."""
-        return {
-            transport.name: transport.health()
-            for transport in self.transports
-        }
-
     # -- the gather --------------------------------------------------------
 
     def query(self, query: Query) -> Document:
         """Prune, scatter surviving shards, gather, merge in shard order.
 
-        A shard that fails permanently fails the whole call with its
-        own error (the first in shard order): a sharded answer is
-        either complete or absent, never silently partial.
+        A shard that fails fails the whole call with its own error
+        (the first in shard order): a sharded answer is either complete
+        or absent, never silently partial.  Retrying is the business of
+        the transport the mediator wraps this source in.
         """
         with self._stats_lock:
             self.queries_served += 1
@@ -457,7 +440,14 @@ class ShardedSource(Source):
             sp.set_attribute("source", self.name)
             sp.set_attribute("legs", len(survivors))
             results = self.parallel.fan_out(
-                [(self.transports[index], query) for index in survivors]
+                [
+                    (
+                        self.shards[index].name,
+                        functools.partial(self.shards[index].query, query),
+                        None,
+                    )
+                    for index in survivors
+                ]
             )
             errors = [r.error for r in results if r.error is not None]
             with self._stats_lock:

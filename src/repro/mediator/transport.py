@@ -496,7 +496,7 @@ class SourceTransport:
         self._stats_lock = threading.Lock()
         #: measured per-attempt latencies of answers (successes and
         #: over-budget discards) — the cost model behind slowest-first
-        #: dispatch and p95-derived timeouts (repro.mediator.parallel).
+        #: dispatch (repro.mediator.parallel).
         #: Deliberately NOT registered in the global metrics registry:
         #: cross-test registry resets must not skew dispatch, and the
         #: happy path has a <5% overhead gate (bench_faults.py) with no
@@ -514,33 +514,17 @@ class SourceTransport:
     def name(self) -> str:
         return self.source.name
 
-    def latency_quantile(self, q: float = 0.95) -> float | None:
-        """A quantile of this source's measured answer latencies."""
-        return self.latency.quantile(q)
-
     def _bump(self, attribute: str, amount: int = 1) -> None:
         with self._stats_lock:
             setattr(
                 self.stats, attribute, getattr(self.stats, attribute) + amount
             )
 
-    def call(
-        self,
-        query: Query,
-        deadline: Deadline | None = None,
-        timeout: float | None = None,
-    ) -> Document:
-        """Answer ``query`` under the policy; raise on terminal failure.
-
-        ``timeout`` tightens (never loosens) the policy's per-call
-        timeout for this call only — the parallel fan-out derives it
-        from the source's latency history (p95 × headroom) so a source
-        that has gone slow is cut off early and the deadline budget is
-        spent on its healthy siblings.
-        """
+    def call(self, query: Query, deadline: Deadline | None = None) -> Document:
+        """Answer ``query`` under the policy; raise on terminal failure."""
         gate = self.gate
         if gate is None:
-            return self._call(query, deadline, timeout)
+            return self._call(query, deadline)
         budget = None if deadline is None else deadline.remaining()
         if not gate.acquire(timeout=budget):
             self._bump("gate_rejections")
@@ -549,15 +533,12 @@ class SourceTransport:
                 f"{self.name!r} concurrency slot"
             )
         try:
-            return self._call(query, deadline, timeout)
+            return self._call(query, deadline)
         finally:
             gate.release()
 
     def _call(
-        self,
-        query: Query,
-        deadline: Deadline | None = None,
-        timeout: float | None = None,
+        self, query: Query, deadline: Deadline | None = None
     ) -> Document:
         # Stat deltas accumulate in fast locals and flush under ONE
         # lock acquisition in the outer finally — a lock round-trip per
@@ -616,9 +597,7 @@ class SourceTransport:
                         n_attempts += 1
                         if recording:
                             sp.add_event("attempt", number=attempt)
-                        effective_timeout = self._effective_timeout(
-                            deadline, timeout
-                        )
+                        effective_timeout = self._effective_timeout(deadline)
                         started = self.clock.now()
                         try:
                             answer = self.source.query(query)
@@ -707,12 +686,9 @@ class SourceTransport:
                 stats.timeouts += n_timeouts
                 stats.breaker_rejections += n_breaker_rejections
 
-    def _effective_timeout(
-        self, deadline: Deadline | None, override: float | None = None
-    ) -> float | None:
+    def _effective_timeout(self, deadline: Deadline | None) -> float | None:
+        """The policy timeout, capped by what the deadline has left."""
         timeout = self.policy.timeout
-        if override is not None:
-            timeout = override if timeout is None else min(timeout, override)
         if deadline is None:
             return timeout
         remaining = deadline.remaining()

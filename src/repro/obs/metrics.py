@@ -113,10 +113,8 @@ class Histogram:
 
         Returns the *upper bound* of the first bucket whose cumulative
         count reaches ``q`` of the total — an over-estimate by at most
-        one bucket width, which is the right bias for deriving timeouts
-        (a p95 read never cuts off a call the histogram has seen
-        complete).  Observations in the overflow bucket answer with the
-        true ``max``.  ``None`` when the histogram is empty.
+        one bucket width.  Observations in the overflow bucket answer
+        with the true ``max``.  ``None`` when the histogram is empty.
         """
         if self.count == 0:
             return None

@@ -283,7 +283,6 @@ def sharded_source(
     journal_fraction: float = 0.125,
     star_mean: float = 1.4,
     clock: "Clock | None" = None,
-    transport_policy: "TransportPolicy | None" = None,
     fanout: "FanoutPolicy | None" = None,
 ) -> "ShardedSource":
     """A content-aware sharding of one bibliography site.
@@ -338,7 +337,6 @@ def sharded_source(
         name,
         schema,
         shards,
-        transport_policy=transport_policy,
         clock=clock,
         fanout=fanout,
         validate=False,
@@ -380,6 +378,9 @@ def sharded_federation(
     the union view and its branch queries are identical to the
     unsharded federation, so the serving front end (``repro serve
     --shards N``) and the benchmarks compare like for like.
+    ``policy`` is the one call policy of each logical site: the
+    mediator's transport times, retries and breaks a site's whole
+    gather, and no shard is called under a policy of its own.
     """
     from ..mediator import Mediator
 

@@ -311,13 +311,6 @@ class TestBypassAndPolicy:
         mediator.materialize_union(VIEW)
         assert mediator.last_cache_outcome == "hit"
 
-    def test_disabled_policy_never_serves(self):
-        mediator = federation(cache=MatViewPolicy(enabled=False))
-        mediator.materialize_union(VIEW)
-        mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "disabled"
-        assert mediator.matview.info()["entries"] == 0
-
     def test_no_cache_mediator_reports_off(self):
         clock = FakeClock()
         mediator = build_flaky_federation(

@@ -22,7 +22,8 @@ from repro.mediator import (
     RetryPolicy,
     TransportPolicy,
 )
-from repro.mediator.parallel import MIN_TIMEOUT
+from repro.mediator.faults import slow
+from repro.mediator.parallel import MIN_HISTORY
 from repro.workloads.flaky import build_flaky_federation
 
 LATENCIES = [0.1, 0.2, 0.3, 0.4]
@@ -62,8 +63,8 @@ class TestParallelCostsTheMax:
         assert clock.now() - start == pytest.approx(sum(LATENCIES))
 
     def test_bounded_pool_costs_the_makespan(self):
-        # 2 workers over legs of 0.1/0.2/0.3/0.4s.  Cost-aware
-        # (slowest-first) dispatch packs them 0.4+0.1 and 0.3+0.2:
+        # 2 workers over legs of 0.1/0.2/0.3/0.4s.  Slowest-first
+        # dispatch packs them 0.4+0.1 and 0.3+0.2:
         # makespan 0.5, better than in-order dispatch's 0.6.
         clock = FakeClock()
         mediator = build(clock, FanoutPolicy(max_workers=2))
@@ -120,29 +121,25 @@ class TestParallelCostsTheMax:
 
 
 class TestDispatchOrder:
-    def make_transport_pairs(self, estimates):
+    @staticmethod
+    def make_legs(estimates):
         class FakeHistogram:
-            def __init__(self, count):
-                self.count = count
-
-        class FakeTransport:
-            def __init__(self, name, p95):
-                self.name = name
-                self._p95 = p95
+            def __init__(self, p95):
                 # enough history iff an estimate exists
-                self.latency = FakeHistogram(8 if p95 is not None else 0)
+                self.count = 8 if p95 is not None else 0
+                self._p95 = p95
 
-            def latency_quantile(self, q=0.95):
+            def quantile(self, q=0.95):
                 return self._p95
 
         return [
-            (FakeTransport(f"s{i}", p95), None)
+            (f"s{i}", None, FakeHistogram(p95))
             for i, p95 in enumerate(estimates)
         ]
 
     def test_slowest_first(self):
         transport = ParallelTransport(FakeClock(), FanoutPolicy())
-        legs = self.make_transport_pairs([0.1, 0.4, 0.2])
+        legs = self.make_legs([0.1, 0.4, 0.2])
         order = transport.dispatch_order(legs)
         assert order == [1, 2, 0]
 
@@ -150,62 +147,46 @@ class TestDispatchOrder:
         # A source with no latency history could be arbitrarily slow:
         # schedule it before known-fast sources.
         transport = ParallelTransport(FakeClock(), FanoutPolicy())
-        legs = self.make_transport_pairs([0.1, None, 0.2])
+        legs = self.make_legs([0.1, None, 0.2])
         order = transport.dispatch_order(legs)
         assert order == [1, 2, 0]
 
-    def test_cost_aware_off_preserves_branch_order(self):
-        transport = ParallelTransport(
-            FakeClock(), FanoutPolicy(cost_aware=False)
-        )
-        legs = self.make_transport_pairs([0.1, 0.4, 0.2])
+    def test_legs_without_history_keep_leg_order(self):
+        # A shard gather's legs keep no histogram: shard order.
+        transport = ParallelTransport(FakeClock(), FanoutPolicy())
+        legs = [(f"s{i}", None, None) for i in range(3)]
         assert transport.dispatch_order(legs) == [0, 1, 2]
 
 
-class TestDerivedTimeouts:
-    def build_transport(self, clock, latencies):
+class TestOneTimeoutRule:
+    """Only the policy timeout and the shared deadline bound a call."""
+
+    def test_healthy_slow_leg_is_never_abandoned(self):
+        # A source measured at 10 ms that answers once in 200 ms is
+        # slow, not broken: inside a 1 s policy timeout and a 5 s
+        # deadline its answer is kept, not discarded and retried.
+        clock = FakeClock()
+        plans = latency_plans([0.01, 0.01])
+        plans["site0"] = FaultPlan(
+            schedule=[slow(0.01)] * MIN_HISTORY + [slow(0.2)]
+        )
         mediator = build(
             clock,
             FanoutPolicy(max_workers=2),
-            plans=latency_plans([0.0]),
-            n_sources=1,
+            plans=plans,
+            n_sources=2,
             policy=TransportPolicy(timeout=1.0),
         )
+        for _ in range(MIN_HISTORY):
+            mediator.materialize_union("journals", mediator.deadline(5.0))
         transport = mediator.transports["site0"]
-        for latency in latencies:
-            transport.latency.observe(latency)
-        return mediator, transport
-
-    def test_p95_headroom(self):
-        clock = FakeClock()
-        mediator, transport = self.build_transport(clock, [0.1] * 8)
-        derived = mediator.parallel.derived_timeout(transport)
-        assert derived == pytest.approx(0.2, rel=0.1)
-        mediator.close()
-
-    def test_never_looser_than_policy(self):
-        # A slow history derives a loose timeout, but the transport
-        # takes min(policy, derived): derivation can only tighten.
-        clock = FakeClock()
-        mediator, transport = self.build_transport(clock, [10.0] * 8)
-        derived = mediator.parallel.derived_timeout(transport)
-        assert derived is not None and derived > 1.0
-        assert transport._effective_timeout(None, derived) == pytest.approx(
-            1.0
-        )
-        mediator.close()
-
-    def test_insufficient_history_uses_policy(self):
-        clock = FakeClock()
-        mediator, transport = self.build_transport(clock, [0.1] * 2)
-        assert mediator.parallel.derived_timeout(transport) is None
-        mediator.close()
-
-    def test_floor(self):
-        clock = FakeClock()
-        mediator, transport = self.build_transport(clock, [0.001] * 8)
-        derived = mediator.parallel.derived_timeout(transport)
-        assert derived == pytest.approx(MIN_TIMEOUT)
+        assert transport.latency.count == MIN_HISTORY
+        mediator.materialize_union("journals", mediator.deadline(5.0))
+        assert mediator.last_degradation is None
+        assert mediator.parallel.parallel_fanouts == MIN_HISTORY + 1
+        assert transport.stats.successes == MIN_HISTORY + 1
+        assert transport.stats.retries == 0
+        assert transport.stats.timeouts == 0
         mediator.close()
 
 

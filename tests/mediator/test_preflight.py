@@ -106,15 +106,6 @@ class TestPreflightPassThrough:
         # classification per query, not two
         assert len(tracer.find("inference.tighten")) == 1
 
-    def test_preflight_can_be_disabled(self, mediator, source):
-        mediator.query_view(
-            parse_query(DEAD), "withJournals", preflight=False
-        )
-        # the simplifier still catches the dead query downstream
-        assert source.queries_served == 0
-        assert mediator.stats.preflight_rejections == 0
-        assert mediator.stats.answered_without_source == 1
-
     def test_no_simplifier_means_no_preflight(self, mediator, monkeypatch):
         reports = record_preflights(monkeypatch, mediator)
         mediator.query_view(

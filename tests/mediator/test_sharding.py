@@ -21,8 +21,8 @@ from repro.dtd import dtd as make_dtd
 from repro.dtd import validate_document
 from repro.errors import (
     DIAGNOSTIC_CODES,
+    FaultInjected,
     ShardConfigError,
-    SourceUnavailable,
 )
 from repro.mediator import (
     FakeClock,
@@ -34,6 +34,7 @@ from repro.mediator import (
     RetryPolicy,
     ShardedSource,
     Source,
+    SourceTransport,
     TransportPolicy,
     fragment_by_child,
     fragment_can_match,
@@ -337,38 +338,17 @@ class TestPartialGather:
             "bib0",
             bibdb.bibdb_dtd(),
             faulty_shards(documents, 2, 4, clock, dead={0}),
-            transport_policy=fast_retries(),
             clock=clock,
             validate=False,
         )
-        with pytest.raises(SourceUnavailable):
+        with pytest.raises(FaultInjected, match="bib0/s0"):
             source.query(journal_query())
         assert source.stats.shard_failures == 1
 
-    def test_per_shard_breakers_are_independent(self):
-        clock = FakeClock()
-        documents = corpus(4, 4)
-        source = ShardedSource(
-            "bib0",
-            bibdb.bibdb_dtd(),
-            faulty_shards(documents, 4, 4, clock, dead={0}),
-            transport_policy=fast_retries(),
-            clock=clock,
-            validate=False,
-        )
-        for _ in range(4):
-            with pytest.raises(SourceUnavailable):
-                source.query(journal_query())
-        health = source.shard_health()
-        assert health["bib0/s0"]["breaker"] == "open"
-        assert all(
-            health[shard.name]["breaker"] == "closed"
-            for shard in source.shards[1:]
-        )
-
     def test_transient_failures_retry_transparently(self):
-        # fail_first below the retry budget: the gather sees no error
-        # and the answer equals the healthy oracle.
+        # fail_first below the retry budget of the source's transport:
+        # the logical call sees no error and the answer equals the
+        # healthy oracle.
         clock = FakeClock()
         documents = corpus(4, 4)
         shards = content_aware_shards(documents, 4, 4)
@@ -381,17 +361,63 @@ class TestPartialGather:
             validate=False,
         )
         source = ShardedSource(
-            "bib0",
-            bibdb.bibdb_dtd(),
-            shards,
-            transport_policy=fast_retries(attempts=3),
+            "bib0", bibdb.bibdb_dtd(), shards, clock=clock, validate=False
+        )
+        transport = SourceTransport(source, fast_retries(attempts=3), clock)
+        answer = transport.call(journal_query())
+        assert transport.stats.retries == 1
+        assert source.stats.shard_failures == 1
+        assert answer.root.structurally_equal(
+            oracle(documents).query(journal_query()).root
+        )
+
+
+class TestOneRetryLadder:
+    """The mediator's transport is the only layer that retries a
+    sharded source: its policy reaches the shards, once."""
+
+    def federation(self, clock, shards, attempts):
+        mediator = Mediator(
+            "m", policy=fast_retries(attempts=attempts), clock=clock
+        )
+        mediator.add_source(
+            ShardedSource(
+                "bib0", bibdb.bibdb_dtd(), shards, clock=clock, validate=False
+            )
+        )
+        mediator.register_union_view([journal_query("bib0")], VIEW)
+        return mediator
+
+    def test_dead_shard_is_called_once_per_mediator_attempt(self):
+        clock = FakeClock()
+        shards = faulty_shards(corpus(4, 4), 4, 4, clock, dead={0})
+        mediator = self.federation(clock, shards, attempts=3)
+        mediator.materialize_union(VIEW)
+        assert set(mediator.last_degradation.skipped) == {"bib0"}
+        assert shards[0].injected_errors == 3
+        assert len(clock.sleeps) == 2
+        assert mediator.transports["bib0"].stats.attempts == 3
+
+    def test_mediator_policy_retries_a_transient_shard_fault(self):
+        clock = FakeClock()
+        documents = corpus(4, 4)
+        shards = content_aware_shards(documents, 4, 4)
+        flaky = shards[0] = FaultySource(
+            shards[0].name,
+            shards[0].dtd,
+            shards[0].documents,
+            plan=FaultPlan(fail_first=1),
             clock=clock,
             validate=False,
         )
-        answer = source.query(journal_query())
-        assert source.stats.shard_failures == 0
+        mediator = self.federation(clock, shards, attempts=2)
+        answer = mediator.materialize_union(VIEW)
+        assert mediator.last_degradation is None
+        assert flaky.injected_errors == 1
+        assert flaky.queries_served == 1
+        assert mediator.transports["bib0"].stats.retries == 1
         assert answer.root.structurally_equal(
-            oracle(documents).query(journal_query()).root
+            oracle(documents).query(journal_query(view=VIEW)).root
         )
 
 
@@ -425,8 +451,8 @@ class TestDeterminism:
         trail.append(clock.now())
         trail.append(
             tuple(
-                (name, row["calls"], row["breaker"])
-                for name, row in sorted(source.shard_health().items())
+                (shard.name, shard.queries_served, shard.injected_latency)
+                for shard in shards
             )
         )
         source.close()
@@ -547,7 +573,6 @@ class TestShardFaultsThroughTheCache:
                 "bib0",
                 bibdb.bibdb_dtd(),
                 shards,
-                transport_policy=fast_retries(),
                 clock=clock,
                 validate=False,
             )
@@ -694,16 +719,13 @@ class TestDifferentialProperty:
             validate=False,
         )
         source = ShardedSource(
-            "bib0",
-            bibdb.bibdb_dtd(),
-            shards,
-            transport_policy=fast_retries(attempts=3),
-            clock=clock,
-            validate=False,
+            "bib0", bibdb.bibdb_dtd(), shards, clock=clock, validate=False
         )
+        transport = SourceTransport(source, fast_retries(attempts=3), clock)
         reference = oracle(documents)
         query = all_articles_query()
-        assert source.query(query).root.structurally_equal(
+        assert transport.call(query).root.structurally_equal(
             reference.query(query).root
         )
-        assert source.stats.shard_failures == 0
+        assert transport.stats.retries == 1
+        assert source.stats.shard_failures == 1

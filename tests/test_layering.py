@@ -95,3 +95,29 @@ def test_obs_depends_on_no_reporting_layer():
         and (hits := imports_any(path, OBS_MUST_NOT_IMPORT))
     }
     assert offenders == {}
+
+
+def called_names(path: Path) -> set[str]:
+    """The names ``path`` calls, as ``name(...)`` or ``obj.name(...)``."""
+    return {
+        getattr(node.func, "attr", None) or getattr(node.func, "id", "")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_one_transport_layer_per_source():
+    # The mediator's one SourceTransport per logical source is the only
+    # layer that times, retries or breaks a source call: no other
+    # module builds one, and the fan-out cannot reach for one.
+    builders = sorted(
+        module_name(path)
+        for path in modules()
+        if "SourceTransport" in called_names(path)
+    )
+    assert builders == ["repro.mediator.mediator"]
+    parallel = SRC / "repro" / "mediator" / "parallel.py"
+    assert not any(
+        name.endswith(".SourceTransport")
+        for name in imported_modules(parallel)
+    )
