@@ -39,9 +39,21 @@ edits a served master in place either; it builds a *new* root sharing
 the untouched pick subtrees, so answers held from earlier hits stay
 stable.
 
-Entries are LRU-bounded by an answer-size byte budget and the cache is
-thread-safe: one warm cache is shared by ``ParallelTransport`` workers
-and ``MediatorServer`` handler threads.  Counters fold into
+A snapshot also keeps its **cached bytes**, the answer in the form
+the serve protocol sends: one serialized fragment per top-level pick
+(as a JSON string body) and, assembled from them by the document
+writer's own join, the whole answer as a JSON string literal.  Both
+are built on the first :meth:`MatViewCache.answer_json` and handed out
+only for the entry's current master, under the same freshness test as
+a hit (clock unmoved, or the master intact), so a caller edit, a
+delta, an eviction or a ``MED007`` fallback each refuses them.  A
+delta splice swaps the fragments of the slice it swaps, rendering
+only the fresh picks.
+
+Entries are LRU-bounded by a byte budget (answer-size estimate plus
+cached bytes) and the cache is thread-safe: one warm cache is shared
+by ``ParallelTransport`` workers and ``MediatorServer`` handler
+threads.  Counters fold into
 ``kernel_stats()`` (section ``"matview"``) and reset with
 ``clear_caches()`` through the :mod:`repro.obs.registry`.
 Delta maintenance is mediator-local: it re-evaluates over the
@@ -58,6 +70,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .. import obs
@@ -65,9 +78,10 @@ from ..errors import STALE_DELTA_FALLBACK
 from ..obs import registry
 from ..xmas import Query, evaluate_many
 from ..xmas.engine import CompiledPlan, PickOrigin, compile_query
-from ..xmlmodel import Document
+from ..xmlmodel import Document, serialize_element
 from ..xmlmodel.element import mutation_stamp
 from ..xmlmodel.index import DocumentIndex, document_index
+from ..xmlmodel.serializer import join_document
 
 
 if TYPE_CHECKING:
@@ -86,9 +100,9 @@ class MatViewPolicy:
 
     ``delta=False`` disables splicing, so any mutation of a
     contributing document costs a full recompute; ``max_bytes`` bounds
-    the sum of cached answer-size estimates (LRU eviction).  Every
-    spliced answer is re-validated against the inferred view DTD before
-    release (a soundness check, always on).
+    the sum of cached answer-size estimates and cached answer bytes
+    (LRU eviction).  Every spliced answer is re-validated against the
+    inferred view DTD before release (a soundness check, always on).
     """
 
     delta: bool = True
@@ -190,6 +204,8 @@ class _Entry:
         "dtd",
         "answer",
         "pick_elems",
+        "fragments",
+        "payload",
         "bytes",
         "built_stamp",
         "stamp",
@@ -224,6 +240,12 @@ class _Entry:
         self.pick_elems = [
             tuple(child.iter()) for child in answer.root.children
         ]
+        # The answer as the wire needs it, built on first request:
+        # each pick's serialized text as a JSON string body (escaping
+        # is per character, so bodies concatenate like the text), and
+        # the assembled document as a JSON string literal.
+        self.fragments: list[str] | None = None
+        self.payload: bytes | None = None
         self.bytes = estimate_bytes(answer)
         self.built_stamp = built_stamp
         self.stamp = built_stamp
@@ -234,7 +256,10 @@ class _Entry:
 
     def answer_intact(self) -> bool:
         stamp = self.built_stamp
-        if self.answer.root.mutation_version > stamp:
+        if (
+            self.answer.mutation_version > stamp
+            or self.answer.root.mutation_version > stamp
+        ):
             return False
         for elems in self.pick_elems:
             for el in elems:
@@ -256,12 +281,20 @@ class _Entry:
 
 def estimate_bytes(document: Document) -> int:
     """A cheap, deterministic answer-size estimate for the byte budget."""
-    total = 0
-    for element in document.root.iter():
-        total += 56 + len(element.name)
-        if isinstance(element.content, str):
-            total += len(element.content)
-    return total
+    return _estimate_subtrees([document.root])
+
+
+def _json_body(text: str) -> str:
+    """``text`` as a JSON string literal without its quotes."""
+    return encode_basestring_ascii(text)[1:-1]
+
+
+def _render_picks(picks) -> list[str]:
+    """Per-pick fragments: each top-level pick as the document writer
+    renders it (level 1), as a JSON string body."""
+    return [
+        _json_body(serialize_element(pick, 2, False, 1)) for pick in picks
+    ]
 
 
 def _estimate_subtrees(elements) -> int:
@@ -317,6 +350,15 @@ class CacheOutcome:
 # ---------------------------------------------------------------------------
 
 
+#: the counters :meth:`MatViewCache.info` reports besides ``entries``
+#: and ``bytes``; ``encoded_answers`` counts answers handed out as
+#: cached bytes, ``fragments_built`` the pick fragments rendered
+_COUNTERS = (
+    "hits", "misses", "invalidations", "deltas", "recomputes", "evictions",
+    "stale_delta_fallbacks", "bypasses", "encoded_answers", "fragments_built",
+)
+
+
 class MatViewCache:
     """A thread-safe LRU answer cache for one (or several) mediators."""
 
@@ -324,33 +366,17 @@ class MatViewCache:
         self.policy = policy or MatViewPolicy()
         self._lock = threading.RLock()
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.deltas = 0
-        self.recomputes = 0
-        self.evictions = 0
-        self.stale_delta_fallbacks = 0
-        self.bypasses = 0
+        self.clear()  # sets _bytes and every counter of _COUNTERS
         _LIVE_CACHES.add(self)
 
     # -- inspection ------------------------------------------------------
 
     def info(self) -> dict:
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidations": self.invalidations,
-                "deltas": self.deltas,
-                "recomputes": self.recomputes,
-                "evictions": self.evictions,
-                "stale_delta_fallbacks": self.stale_delta_fallbacks,
-                "bypasses": self.bypasses,
-                "entries": len(self._entries),
-                "bytes": self._bytes,
-            }
+            info = {name: getattr(self, name) for name in _COUNTERS}
+            info["entries"] = len(self._entries)
+            info["bytes"] = self._bytes
+            return info
 
     def provenance(
         self, key: tuple
@@ -364,19 +390,48 @@ class MatViewCache:
         with self._lock:
             self._entries.clear()
             self._bytes = 0
-            self.hits = 0
-            self.misses = 0
-            self.invalidations = 0
-            self.deltas = 0
-            self.recomputes = 0
-            self.evictions = 0
-            self.stale_delta_fallbacks = 0
-            self.bypasses = 0
+            for name in _COUNTERS:
+                setattr(self, name, 0)
 
     def note_bypass(self) -> None:
         """Count an explicit per-request cache bypass (``MED006``)."""
         with self._lock:
             self.bypasses += 1
+
+    def answer_json(self, document: Document) -> bytes | None:
+        """``serialize_document(document)`` as a JSON string literal
+        (UTF-8), or ``None`` unless ``document`` is a held entry's
+        current master and unedited since it was validated.
+
+        The bytes are assembled from the entry's per-pick fragments by
+        the document writer's own join, kept on the entry and charged
+        to the byte budget; a delta splice re-renders only the fresh
+        picks.
+        """
+        with self._lock:
+            for entry in reversed(self._entries.values()):
+                if entry.answer is document:
+                    break
+            else:
+                return None
+            if mutation_stamp() != entry.stamp and not entry.answer_intact():
+                return None
+            if entry.payload is None:
+                added = 0
+                if entry.fragments is None:
+                    entry.fragments = _render_picks(document.root.children)
+                    self.fragments_built += len(entry.fragments)
+                    added += sum(map(len, entry.fragments))
+                text = join_document(
+                    document.root, entry.fragments, escape=_json_body
+                )
+                entry.payload = f'"{text}"'.encode("ascii")
+                added += len(entry.payload)
+                entry.bytes += added
+                self._bytes += added
+                self._evict()
+            self.encoded_answers += 1
+            return entry.payload
 
     # -- the decision procedure ------------------------------------------
 
@@ -600,12 +655,25 @@ class MatViewCache:
             entry.pick_elems[start:stop] = [
                 tuple(child.iter()) for child in new_children
             ]
+            encoded = 0
+            if entry.fragments is not None:
+                fresh_fragments = _render_picks(new_children)
+                self.fragments_built += len(fresh_fragments)
+                encoded = sum(map(len, fresh_fragments)) - sum(
+                    map(len, entry.fragments[start:stop])
+                )
+                entry.fragments[start:stop] = fresh_fragments
+            if entry.payload is not None:
+                encoded -= len(entry.payload)
+                entry.payload = None
             entry.built_stamp = stamp
             entry.stamp = stamp
             self._bytes -= entry.bytes
-            entry.bytes += _estimate_subtrees(
-                new_children
-            ) - _estimate_subtrees(old[start:stop])
+            entry.bytes += (
+                _estimate_subtrees(new_children)
+                - _estimate_subtrees(old[start:stop])
+                + encoded
+            )
             self._bytes += entry.bytes
             sp.set_attribute("bytes", entry.bytes)
         self._evict()
@@ -719,18 +787,7 @@ def _clear_live_caches() -> None:
 
 
 def _aggregate() -> dict:
-    totals = {
-        "hits": 0,
-        "misses": 0,
-        "invalidations": 0,
-        "deltas": 0,
-        "recomputes": 0,
-        "evictions": 0,
-        "stale_delta_fallbacks": 0,
-        "bypasses": 0,
-        "entries": 0,
-        "bytes": 0,
-    }
+    totals = dict.fromkeys((*_COUNTERS, "entries", "bytes"), 0)
     for cache in list(_LIVE_CACHES):
         info = cache.info()
         for name in totals:

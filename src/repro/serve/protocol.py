@@ -38,6 +38,7 @@ mediator/transport code of the underlying failure (``MED003``, ...).
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from ..errors import ReproError, register_diagnostic_code
 
@@ -95,9 +96,30 @@ CACHE_BYPASS = register_diagnostic_code(
 )
 
 
+@dataclass(frozen=True)
+class Encoded:
+    """A message value already encoded as JSON (UTF-8 bytes)."""
+
+    json: bytes
+
+
 def encode(message: dict) -> bytes:
-    """One response/request line, newline-terminated UTF-8 JSON."""
-    return (json.dumps(message, separators=(",", ":")) + "\n").encode("utf-8")
+    """One response/request line, newline-terminated UTF-8 JSON.
+
+    Top-level :class:`Encoded` values are spliced in verbatim: the line
+    equals the one for their decoded values, without re-escaping them.
+    """
+    if not any(isinstance(value, Encoded) for value in message.values()):
+        line = json.dumps(message, separators=(",", ":")) + "\n"
+        return line.encode("utf-8")
+    members = []
+    for key, value in message.items():
+        if isinstance(value, Encoded):
+            members.append(json.dumps(key).encode("utf-8") + b":" + value.json)
+        else:
+            member = json.dumps({key: value}, separators=(",", ":"))[1:-1]
+            members.append(member.encode("utf-8"))
+    return b"{" + b",".join(members) + b"}\n"
 
 
 def decode(line: bytes) -> dict:

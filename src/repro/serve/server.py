@@ -412,9 +412,20 @@ class MediatorServer:
             self.admission.release()
         elapsed = self.mediator.clock.now() - started
         self.latency.observe(elapsed)
+        # A hit or a delta is sent as the bytes its matview entry
+        # keeps; every other answer (a miss, cache off or bypassed,
+        # degraded, refused by the cache's freshness check) goes
+        # through the document writer here.
+        encoded = None
+        if cache_outcome in ("hit", "delta"):
+            encoded = self.mediator.matview.answer_json(document)
         response = {
             "ok": True,
-            "answer": serialize_document(document),
+            "answer": (
+                serialize_document(document)
+                if encoded is None
+                else protocol.Encoded(encoded)
+            ),
             "degraded": report is not None,
             "elapsed": round(elapsed, 6),
             "cache": cache_outcome,

@@ -10,9 +10,11 @@ itself must not depend on any layer that reports into it.
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 
 KERNEL_SEAM = "repro.regex.kernel"
 OBS_MUST_NOT_IMPORT = (
@@ -121,3 +123,20 @@ def test_one_transport_layer_per_source():
         name.endswith(".SourceTransport")
         for name in imported_modules(parallel)
     )
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench's tracer replaces each TARGETS entry in the namespace
+    # its caller looks the name up in; a renamed or no longer imported
+    # name would only show as a failed benchmark run.
+    path = REPO / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for module, attribute_path, _ in tracer.TARGETS:
+        owner, attribute = tracer._resolve(module, attribute_path)
+        if attribute not in vars(owner):
+            missing.append(f"{module}:{attribute_path}")
+    assert missing == []
