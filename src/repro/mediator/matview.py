@@ -19,13 +19,13 @@ fast-path/re-arm discipline of
    entry's contributing documents did: re-stamp the entry and serve.
 3. **Delta maintenance** -- exactly one contributing document mutated
    and the entry knows which slice of the answer that document
-   produced (the engine's :class:`~repro.xmas.engine.PickOrigin`
-   provenance): re-run pick-projection over that one document, splice
-   the fresh picks into the materialized answer, re-validate the
-   spliced answer against the inferred view DTD, re-stamp.  Validation
-   failure (``MED007``) falls back to a full recompute.
+   produced (the answer's ``pick_counts``: how many picks each
+   document contributed): re-run the query over that one document,
+   splice the fresh picks into the materialized answer, re-validate
+   the spliced answer against the inferred view DTD, re-stamp.
+   Validation failure (``MED007``) falls back to a full recompute.
 4. **Invalidate** -- anything else (several dirty documents, changed
-   document lists, no provenance): drop the entry and recompute.
+   document lists, no pick counts): drop the entry and recompute.
 
 Served answers are **shared snapshots**: a hit returns the cached
 master document itself rather than a per-hit deep copy (the copy would
@@ -77,7 +77,7 @@ from .. import obs
 from ..errors import STALE_DELTA_FALLBACK
 from ..obs import registry
 from ..xmas import Query, evaluate_many
-from ..xmas.engine import CompiledPlan, PickOrigin, compile_query
+from ..xmas.engine import CompiledPlan, compile_query
 from ..xmlmodel import Document, serialize_element
 from ..xmlmodel.element import mutation_stamp
 from ..xmlmodel.index import DocumentIndex, document_index
@@ -685,57 +685,47 @@ class MatViewCache:
         self,
         token: _MissToken,
         answer: Document,
-        origins_per_leg: Sequence[tuple[PickOrigin, ...] | None],
+        counts_per_leg: Sequence[tuple[int, ...] | None],
     ) -> None:
         """Redeem a miss token with the freshly computed answer.
 
         The answer document becomes the entry's master *by reference*
         (the caller hands ownership to the cache and receives the same
-        shared-snapshot semantics as a hit).  ``origins_per_leg``
-        aligns with the token's legs: each entry is the engine
-        provenance of that leg's answer (``None`` when unavailable --
-        the stored entry is then recompute-only).  Degraded answers
-        must not be stored; the mediator checks.
+        shared-snapshot semantics as a hit).  ``counts_per_leg``
+        aligns with the token's legs: each entry is the
+        ``pick_counts`` of that leg's answer.  A leg whose counts are
+        ``None``, or do not cover exactly its source's documents,
+        makes the stored entry recompute-only.  Degraded answers must
+        not be stored; the mediator checks.
         """
         legs = token.legs
         docs: list[_DocState] = []
         leg_docs: list[tuple[Document, ...]] = []
         spliceable = True
         offset = 0
-        for leg_index, (leg, origins) in enumerate(
-            zip(legs, origins_per_leg)
+        for leg_index, (leg, counts) in enumerate(
+            zip(legs, counts_per_leg)
         ):
             documents = tuple(leg.source.documents)
             leg_docs.append(documents)
-            if origins is None or any(o.pos < 0 for o in origins):
-                # No provenance for this leg: the entry can still be
-                # validated and invalidated, but never spliced, so the
-                # (now meaningless) answer offsets stay at -1.
-                spliceable = False
-                for document in documents:
-                    docs.append(
-                        _DocState(
-                            leg_index,
-                            document,
-                            document_index(document),
-                            -1,
-                            -1,
-                        )
-                    )
-                continue
-            counts = [0] * len(documents)
-            for origin in origins:
-                counts[origin.doc] += 1
+            # Counts that do not describe this leg's documents leave
+            # the entry recompute-only: it can still be validated and
+            # invalidated, but never spliced, so the (meaningless)
+            # answer offsets stay at -1.
+            usable = counts is not None and len(counts) == len(documents)
+            spliceable = spliceable and usable
             for ordinal, document in enumerate(documents):
-                start = offset
-                offset += counts[ordinal]
+                start = stop = -1
+                if usable:
+                    start, stop = offset, offset + counts[ordinal]
+                    offset = stop
                 docs.append(
                     _DocState(
                         leg_index,
                         document,
                         document_index(document),
                         start,
-                        offset,
+                        stop,
                     )
                 )
         entry = _Entry(

@@ -35,7 +35,6 @@ from ..inference import (
     infer_view_dtd,
 )
 from ..xmas import CompiledPlan, Query, compile_query, evaluate_many
-from ..xmas.engine import enable_provenance, provenance_of
 from ..xmlmodel import Document, Element, fresh_id
 from .matview import (
     CacheLeg,
@@ -208,9 +207,6 @@ class Mediator:
                 if isinstance(cache, MatViewCache)
                 else MatViewCache(cache)
             )
-            if self.matview.policy.delta:
-                # Delta splicing needs the engine's pick provenance.
-                enable_provenance()
         self.sources: dict[str, Source] = {}
         self.transports: dict[str, SourceTransport] = {}
         self.views: dict[str, ViewRegistration] = {}
@@ -469,7 +465,7 @@ class Mediator:
                                 ),
                             )
                             self.matview.store(
-                                token, answer, [provenance_of(answer)]
+                                token, answer, [answer.pick_counts]
                             )
                         return answer
                     if strategy == "compose":
@@ -480,8 +476,8 @@ class Mediator:
                 materialized = self.materialize(view_name, deadline)
                 answer = evaluate_many(effective, [materialized])
                 if token is not None:
-                    # The answer's provenance points at the transient
-                    # materialized view, not at source documents, so
+                    # The answer's pick counts describe the transient
+                    # materialized view, not the source documents, so
                     # this entry is recompute-only.
                     assert self.matview is not None
                     self.matview.store(token, answer, [None])
@@ -850,7 +846,7 @@ class Mediator:
                 self.matview.store(
                     token,
                     document,
-                    [provenance_of(result.answer) for result in results],
+                    [result.answer.pick_counts for result in results],
                 )
         return document
 

@@ -51,9 +51,10 @@ unsharded source would: the mediator's transport then re-gathers
 under the mediator's policy, and a mediator union skips the whole
 source and validates and flags its degraded answer.
 
-The merged answer re-registers engine pick provenance with document
-ordinals shifted into the logical document list, so the materialized-
-view cache (:mod:`repro.mediator.matview`) keys entries by per-shard
+The merged answer's ``pick_counts`` are the shards' counts
+concatenated in shard order (zeros for a pruned shard's documents), so
+they describe the logical document list, and the materialized-view
+cache (:mod:`repro.mediator.matview`) keys entries by per-shard
 document identity and a mutation in one shard is delta-maintained
 shard-locally — the delta query re-runs over the one dirty fragment
 document only.
@@ -77,14 +78,7 @@ from ..errors import ShardConfigError
 from ..obs import registry
 from ..regex import is_subset
 from ..xmas import Query
-from ..xmas.engine import (
-    CompiledPlan,
-    PickOrigin,
-    compile_query,
-    provenance_enabled,
-    provenance_of,
-    record_provenance,
-)
+from ..xmas.engine import CompiledPlan, compile_query
 from ..xmlmodel import Document, Element, fresh_id
 from .parallel import FanoutPolicy, ParallelTransport
 from .source import Source
@@ -457,48 +451,42 @@ class ShardedSource(Source):
             if errors:
                 raise errors[0]
             picks: list[Element] = []
-            origins: list[PickOrigin] | None = (
-                [] if provenance_enabled() else None
-            )
-            offsets = self._document_offsets()
+            answers: dict[int, Document] = {}
             for index, result in zip(survivors, results):
                 answer = result.answer
                 assert answer is not None
                 picks.extend(answer.root.children)
-                if origins is not None:
-                    shard_origins = provenance_of(answer)
-                    if shard_origins is None:
-                        origins = None
-                    else:
-                        base = offsets[index]
-                        origins.extend(
-                            PickOrigin(base + o.doc, o.pos, o.end)
-                            for o in shard_origins
-                        )
+                answers[index] = answer
             sp.set_attribute("picks", len(picks))
             merged = Document(
                 Element(query.view_name, picks, fresh_id())
             )
-            if origins is not None:
-                record_provenance(merged, tuple(origins))
+            merged.pick_counts = self._merged_counts(answers)
         return merged
 
-    def _document_offsets(self) -> list[int]:
-        """Per shard: the ordinal of its first document in the logical
-        concatenated list (provenance ``doc`` fields shift by this)."""
-        offsets: list[int] = []
-        base = 0
-        for shard in self.shards:
-            offsets.append(base)
-            base += len(shard.documents)
-        return offsets
+    def _merged_counts(
+        self, answers: dict[int, Document]
+    ) -> tuple[int, ...] | None:
+        """The merged answer's ``pick_counts`` over the logical document
+        list: the shards' counts concatenated in shard order, zeros for
+        the documents of a pruned shard (one absent from ``answers``),
+        ``None`` when some shard's answer carries no counts."""
+        counts: list[int] = []
+        for index, shard in enumerate(self.shards):
+            answer = answers.get(index)
+            if answer is None:
+                counts.extend([0] * len(shard.documents))
+            elif answer.pick_counts is None:
+                return None
+            else:
+                counts.extend(answer.pick_counts)
+        return tuple(counts)
 
     def _empty_answer(self, query: Query) -> Document:
+        # An all-pruned answer has provably no picks: all-zero counts
+        # keep matview entries delta-capable.
         answer = Document(Element(query.view_name, [], fresh_id()))
-        if provenance_enabled():
-            # An all-pruned answer has provably no picks; an empty
-            # origin tuple keeps matview entries delta-capable.
-            record_provenance(answer, ())
+        answer.pick_counts = self._merged_counts({})
         return answer
 
     def close(self) -> None:

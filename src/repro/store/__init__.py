@@ -18,7 +18,7 @@ holding heterogeneous data plus structural metadata):
   on demand (enumeration fallback and validation only).
 * :class:`StoredDocumentIndex` -- satisfies the engine's index
   protocol (``labelled``, ``labelled_within``, ``labelled_set``,
-  ``is_ancestor_or_self``, ``position_of``, plus the narrow accessors
+  ``is_ancestor_or_self``, plus the narrow accessors
   ``name_at`` / ``pcdata_at`` / ``element_at``) with lazy row
   hydration through a bounded page/LRU layer, so query memory is
   O(working set), not O(corpus).

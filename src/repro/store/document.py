@@ -155,9 +155,7 @@ class StoredDocumentIndex:
         """Hydrate the subtree rooted at ``pos`` (children-first).
 
         The only place the projection path builds Elements: the picks
-        themselves.  Hydrated elements are tagged with their store
-        coordinates so :meth:`position_of` (provenance recording) maps
-        them back without a scan.
+        themselves.
         """
         stop = self.end[pos]
         rows = self._rows_range(pos, stop)
@@ -180,11 +178,6 @@ class StoredDocumentIndex:
                 content,
                 row[_ELEM_ID],
                 dict(row[_ATTRS]) if row[_ATTRS] else {},
-            )
-            element._store_coords = (  # type: ignore[attr-defined]
-                self.store,
-                self.doc_id,
-                pos + offset,
             )
             copies[offset] = element
         assert copies[0] is not None
@@ -231,16 +224,6 @@ class StoredDocumentIndex:
 
     def is_ancestor_or_self(self, ancestor: int, descendant: int) -> bool:
         return ancestor <= descendant < self.end[ancestor]
-
-    def position_of(self, element: Element) -> int | None:
-        coords = getattr(element, "_store_coords", None)
-        if (
-            coords is not None
-            and coords[0] is self.store
-            and coords[1] == self.doc_id
-        ):
-            return coords[2]
-        return None
 
 
 class StoredDocument(Document):

@@ -38,6 +38,13 @@ that fail it are answered by the matcher's full enumeration, which
 ``tests/xmas/test_engine_differential.py`` also uses as the oracle for
 pick-projection.
 
+Every answer carries its provenance on itself: ``pick_counts`` on the
+answer :class:`~repro.xmlmodel.element.Document` holds how many picks
+each input document contributed, in input order (fallback picks
+included).  Since the answer is those picks concatenated, the counts
+locate each document's slice of it; the materialized-view cache
+(:mod:`repro.mediator.matview`) splices per-document deltas by them.
+
 The plan cache registers with the :mod:`repro.obs.registry`,
 so ``clear_caches()`` / ``kernel_stats()`` / CLI ``--stats`` cover it
 alongside the language kernel's caches.
@@ -46,14 +53,11 @@ alongside the language kernel's caches.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .. import obs
 from ..obs import registry
 from ..xmlmodel import Document, Element, fresh_id
-from ..xmlmodel import index as _index_module
 from ..xmlmodel.index import DocumentIndex, document_index
 from .ast import Condition, Query
 from .evaluator import legacy_picked_elements
@@ -544,120 +548,30 @@ class _PlanRun:
 
 
 # ---------------------------------------------------------------------------
-# answer provenance (the materialized-view cache's raw material)
+# public entry points
 # ---------------------------------------------------------------------------
 
 
-class PickOrigin(NamedTuple):
-    """Where one top-level answer element came from.
-
-    ``doc`` is the ordinal of the source document in the evaluated
-    list, ``pos`` the picked element's preorder position in that
-    document's index, and ``end`` the exclusive end of its descendant
-    interval (``-1``/``-1`` when the enumeration fallback picked an
-    element the index cannot place).  :mod:`repro.mediator.matview` stores
-    these alongside cached answers to splice per-document deltas.
-    """
-
-    doc: int
-    pos: int
-    end: int
-
-
-#: answer document -> per-pick origins, recorded only while some
-#: mediator cache has asked for provenance (weak: answers own their
-#: provenance and drop it when they die)
-_PROVENANCE: "weakref.WeakKeyDictionary[Document, tuple[PickOrigin, ...]]" = (
-    weakref.WeakKeyDictionary()
-)
-_PROV_LOCK = threading.Lock()
-_prov_users = 0
-
-
-def enable_provenance() -> None:
-    """Ask the engine to record pick origins (refcounted)."""
-    global _prov_users
-    with _PROV_LOCK:
-        _prov_users += 1
-
-
-def disable_provenance() -> None:
-    """Drop one provenance request; recording stops at zero."""
-    global _prov_users
-    with _PROV_LOCK:
-        _prov_users = max(0, _prov_users - 1)
-
-
-def provenance_of(answer: Document) -> tuple[PickOrigin, ...] | None:
-    """The recorded pick origins of an answer document, if any."""
-    with _PROV_LOCK:
-        return _PROVENANCE.get(answer)
-
-
-def provenance_enabled() -> bool:
-    """Is some cache currently asking the engine to record origins?"""
-    return _prov_users > 0
-
-
-def record_provenance(
-    answer: Document, origins: tuple[PickOrigin, ...]
-) -> None:
-    """Attach pick origins to an answer built outside the engine.
-
-    Merge layers (the sharded-source gather, stacked mediators) build
-    answer documents by concatenating per-fragment answers; this lets
-    them re-register the combined origins — with ``doc`` ordinals
-    shifted into the logical document list — so delta maintenance
-    keeps working across the merge.
-    """
-    with _PROV_LOCK:
-        _PROVENANCE[answer] = tuple(origins)
-
-
-def _picked_with_origins(
-    query: Query,
-    plan: CompiledPlan,
-    document: Document,
-    ordinal: int,
-    origins: list[PickOrigin] | None,
+def _picks(
+    query: Query, plan: CompiledPlan, document: Document
 ) -> list[Element]:
-    """One document's picks, appending their origins when recording.
+    """One document's picks, in document order.
 
     Non-projectable plans (see :class:`CompiledPlan`) fall back to the
     matcher's full enumeration.
     """
     if not plan.projectable:
         registry.EVENTS["engine.fallback"] += 1
-        picked = legacy_picked_elements(query, document)
-        if origins is not None:
-            index = document_index(document)
-            for element in picked:
-                pos = index.position_of(element)
-                if pos is None:
-                    origins.append(PickOrigin(ordinal, -1, -1))
-                else:
-                    origins.append(
-                        PickOrigin(ordinal, pos, index.end[pos])
-                    )
-        return picked
+        return legacy_picked_elements(query, document)
     registry.EVENTS["engine.projected"] += 1
     index = document_index(document)
     positions = _PlanRun(plan, index).picked_positions()
-    if origins is not None:
-        origins.extend(
-            PickOrigin(ordinal, pos, index.end[pos]) for pos in positions
-        )
     return [index.element_at(pos) for pos in positions]
-
-
-# ---------------------------------------------------------------------------
-# public entry points
-# ---------------------------------------------------------------------------
 
 
 def picked_elements(query: Query, document: Document) -> list[Element]:
     """Elements bound to the pick variable, document order, no repeats."""
-    return _picked_with_origins(query, compile_query(query), document, 0, None)
+    return _picks(query, compile_query(query), document)
 
 
 def evaluate(query: Query, document: Document) -> Document:
@@ -675,18 +589,17 @@ def evaluate_many(query: Query, documents: list[Document]) -> Document:
     Pick-element queries apply to one source; a source may hold many
     documents, whose picks are concatenated in document order.  The
     query is compiled once and the plan reused across every document.
+    The answer's ``pick_counts`` records how many picks each document
+    contributed.
     """
     with obs.span("engine.evaluate") as sp:
-        index_hits = _index_module._index_hits
-        index_misses = _index_module._index_misses
         plan = compile_query(query)
-        record = _prov_users > 0
-        origins: list[PickOrigin] | None = [] if record else None
+        counts: list[int] = []
         picks: list[Element] = []
-        for ordinal, document in enumerate(documents):
-            picks.extend(
-                _picked_with_origins(query, plan, document, ordinal, origins)
-            )
+        for document in documents:
+            found = _picks(query, plan, document)
+            counts.append(len(found))
+            picks.extend(found)
         sp.set_attribute("view", query.view_name)
         sp.set_attribute(
             "strategy",
@@ -694,19 +607,11 @@ def evaluate_many(query: Query, documents: list[Document]) -> Document:
         )
         sp.set_attribute("docs", len(documents))
         sp.set_attribute("picks", len(picks))
-        sp.set_attribute(
-            "index_hits", _index_module._index_hits - index_hits
-        )
-        sp.set_attribute(
-            "index_misses", _index_module._index_misses - index_misses
-        )
         root = Element(
             query.view_name,
             [element.deep_copy(fresh_ids=True) for element in picks],
             fresh_id(),
         )
         answer = Document(root)
-        if record and origins is not None:
-            with _PROV_LOCK:
-                _PROVENANCE[answer] = tuple(origins)
+        answer.pick_counts = tuple(counts)
         return answer

@@ -199,12 +199,13 @@ def legacy_picked_elements(query: Query, document: Document) -> list[Element]:
     element is determined and known, the remaining sibling assignments
     cannot add a new pick id, so they are never enumerated.
     """
+    # One read of ``.root``: a stored document hydrates a whole tree
+    # on every access.
+    root = document.root
     picked_ids: set[str] = set()
     matcher = _Matcher(query)
-    for env in matcher.search(query.root, document.root, {}, picked_ids):
+    for env in matcher.search(query.root, root, {}, picked_ids):
         element = env.get(query.pick_variable)
         if element is not None:
             picked_ids.add(element.id)
-    return [
-        element for element in document.iter() if element.id in picked_ids
-    ]
+    return [element for element in root.iter() if element.id in picked_ids]

@@ -261,6 +261,12 @@ class Document:
     #: global-mutation-clock value at the last document-level mutation
     #: (``replace_root``); element edits stamp the elements themselves
     mutation_version: int = field(default=0, init=False, repr=False)
+    #: on a query answer: how many top-level picks each input document
+    #: contributed, in input order (the answer's children are exactly
+    #: those picks, concatenated); ``None`` on anything else
+    pick_counts: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def replace_root(self, root: Element) -> None:
         """Swap the root element (a document-level, version-stamped edit)."""

@@ -122,16 +122,6 @@ class DocumentIndex:
         """Whether no indexed element mutated after ``stamp``."""
         return max(map(_VERSION_OF, self.order)) <= stamp
 
-    def position_of(self, element: Element) -> int | None:
-        """The preorder position of an element (identity), or None."""
-        positions = self.by_label.get(element.name)
-        if positions is None:
-            return None
-        for pos in positions:
-            if self.order[pos] is element:
-                return pos
-        return None
-
     def labelled(self, name: str) -> list[int]:
         """Positions of all elements named ``name``, document order."""
         return self.by_label.get(name, [])

@@ -575,6 +575,166 @@ class TestDifferentialSoundness:
                 oracle
             )
 
+    SHARDED_VIEW = "articles"
+
+    @classmethod
+    def sharded_federation(cls, seed):
+        """Two sharded bibliography sites behind one union view.
+
+        ``bib0`` has shards [journal, conference, conference] and a
+        branch picking DOI'd conference articles, so shard 0 is pruned
+        and the surviving shards come after it.  ``bib1`` has shards
+        [journal, conference] and a non-projectable branch (the pick
+        is unequal to one of its own children), answered by the
+        enumeration fallback; its conference shard is pruned.
+        """
+        from repro.workloads import bibdb
+
+        mediator = Mediator("sharded", cache=MatViewPolicy())
+        mediator.add_source(
+            bibdb.sharded_source(
+                "bib0", n_docs=6, n_shards=3, seed=seed,
+                journal_fraction=1 / 3,
+            )
+        )
+        mediator.add_source(
+            bibdb.sharded_source(
+                "bib1", n_docs=4, n_shards=2, seed=seed + 1,
+                journal_fraction=1 / 2,
+            )
+        )
+        view = cls.SHARDED_VIEW
+        conference = parse_query(
+            f"""
+            {view} = SELECT A
+            WHERE <bibdb> <venue> <conferenceInfo/>
+                    <volume> <issue> A:<article><doi/></article> </> </>
+                  </> </>
+            """,
+            source="bib0",
+        )
+        fallback = parse_query(
+            f"""
+            {view} = SELECT A
+            WHERE <bibdb> <venue> <journalInfo/>
+                    <volume> <issue> A:<article><author id=U/></article>
+                    </> </>
+                  </> </>
+              AND A != U
+            """,
+            source="bib1",
+        )
+        mediator.register_union_view([conference, fallback], view)
+        return mediator
+
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["edit", "add", "remove"]),
+                st.integers(min_value=0, max_value=10_000),
+                st.booleans(),
+            ),
+            min_size=5,
+            max_size=8,
+        ),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    def test_random_edits_across_shards(self, steps, seed):
+        from repro.xmas.engine import compile_query
+
+        mediator = self.sharded_federation(seed)
+        view = self.SHARDED_VIEW
+        registration = mediator.union_views[view]
+        bib0, bib1 = mediator.sources["bib0"], mediator.sources["bib1"]
+        assert bib0.prune(registration.branches[0].query) == (
+            ["bib0/s1", "bib0/s2"], ["bib0/s0"],
+        )
+        assert bib1.prune(registration.branches[1].query) == (
+            ["bib1/s0"], ["bib1/s1"],
+        )
+        assert not compile_query(registration.branches[1].query).projectable
+        shards = bib0.shards + bib1.shards
+        first = mediator.materialize_union(view)
+        assert mediator.last_cache_outcome == "miss"
+        # the fallback branch picks, so its picks must be spliceable
+        assert first.root.children
+        for step, (op, pick, noise) in enumerate(steps):
+            if noise:  # clock movement outside the federation
+                federation(seed=31).sources["site0"].documents[
+                    0
+                ].root.append_child(elem("entry"))
+            # step i lands in shard i: every shard is edited
+            documents = shards[step % len(shards)].documents
+            self.edit_article(documents[pick % len(documents)], op, pick)
+            answer = mediator.materialize_union(view)
+            assert mediator.last_cache_outcome == "delta"
+            assert validate_document(answer, registration.dtd).ok
+            oracle = mediator.materialize_union(view, cache=False)
+            assert serialize_document(answer) == serialize_document(
+                oracle
+            )
+        assert mediator.matview.info()["deltas"] == len(steps) > 0
+
+    @staticmethod
+    def edit_article(document, op, pick):
+        """One stamped edit of a bibliography document that keeps it
+        valid under its fragment DTD."""
+        issues = [el for el in document.root.iter() if el.name == "issue"]
+        issue = issues[pick % len(issues)]
+        articles = [a for a in issue.children if a.name == "article"]
+        if op == "add":
+            issue.append_child(
+                elem(
+                    "article",
+                    text_elem("title", f"gen-{pick}"),
+                    text_elem("author", "a"),
+                    text_elem("doi", f"10.1/{pick}"),
+                )
+            )
+        elif op == "remove" and len(articles) > 1:
+            issue.remove_child(articles[pick % len(articles)])
+        else:
+            leaves = [
+                el
+                for el in document.root.iter()
+                if isinstance(el.content, str)
+            ]
+            leaves[pick % len(leaves)].set_text(f"edit-{pick}")
+
+    def test_materialized_answer_counts_stay_recompute_only(self):
+        # The materialize path evaluates the client query over the
+        # transient view document; its pick counts describe that one
+        # document, not the source's.  With a one-document source the
+        # lengths agree, so only the mediator can keep the entry from
+        # splicing by those counts.
+        import random
+
+        from repro.dtd import generate_document
+        from repro.workloads import paper
+
+        schema = paper.d1()
+        document = generate_document(schema, random.Random(5))
+        mediator = Mediator("one", cache=MatViewPolicy())
+        mediator.add_source(Source("dept", schema, [document]))
+        mediator.register_view(paper.q3(), "dept")
+        client = parse_query(
+            "v = SELECT P WHERE <publist> P:<publication/> </>"
+        )
+        answer = mediator.query_view(
+            client, "publist", strategy="materialize"
+        )
+        assert mediator.last_cache_outcome == "miss"
+        assert answer.pick_counts == (len(answer.root.children),)
+        key, _ = mediator._query_cache_entry(
+            client, "publist", strategy="materialize"
+        )
+        assert mediator.matview.provenance(key) == [("dept", 0, (-1, -1))]
+
     @staticmethod
     def apply(mediator, op, pick):
         documents = [

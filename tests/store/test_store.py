@@ -356,14 +356,6 @@ class TestStoredIndexProtocol:
                         ancestor, descendant
                     ) == oracle.is_ancestor_or_self(ancestor, descendant)
 
-    def test_position_of_round_trips_through_element_at(self):
-        with DocumentStore(":memory:") as store:
-            stored = store.ingest_text(SAMPLE)
-            index = stored.stored_index()
-            for pos in range(stored.size()):
-                assert index.position_of(index.element_at(pos)) == pos
-            assert index.position_of(Element("paper", [])) is None
-
     def test_element_at_hydrates_the_subtree_only(self):
         with DocumentStore(":memory:") as store:
             stored = store.ingest_text(SAMPLE)
@@ -474,6 +466,33 @@ class TestSourceIntegration:
             store.drop_caches()
             source.query(self._query())
             assert store.cache_info()["hydrations"] == 0
+
+    def test_fallback_hydrates_each_document_once(self):
+        """A non-projectable plan enumerates over ``.root``, which
+        hydrates a whole tree per read: one read per document."""
+        from repro.mediator import Source
+        from repro.xmas.engine import compile_query
+
+        schema, documents = self._corpus()
+        query = parse_query(
+            """
+            v = SELECT P
+            WHERE <department> P:<professor> <lastName id=N/> </> </>
+                  AND P != N
+            """,
+            source="dept",
+        )
+        assert not compile_query(query).projectable
+        with DocumentStore(":memory:") as store:
+            for document in documents:
+                store.ingest_document(document, source="dept")
+            source = Source.from_store("dept", schema, store)
+            answer = source.query(query)
+            assert store.cache_info()["hydrations"] == len(documents)
+            memory = Source("dept", schema, documents, validate=False)
+            assert answer.root.structurally_equal(
+                memory.query(query).root
+            )
 
 
 class TestSerialization:

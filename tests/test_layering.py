@@ -140,3 +140,48 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         if attribute not in vars(owner):
             missing.append(f"{module}:{attribute_path}")
     assert missing == []
+
+
+#: the module-level side tables ``src/repro`` keeps, by module: the
+#: per-document index cache and the fan-out's per-thread nesting state
+SIDE_TABLES = {
+    ("repro.xmlmodel.index", "_INDEX_CACHE"),
+    ("repro.mediator.parallel", "_FANOUT_STATE"),
+}
+SIDE_TABLE_FACTORIES = {"WeakKeyDictionary", "local"}
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def module_level_assignments(tree: ast.Module):
+    """``(target names, value)`` of each assignment outside any
+    function or class body."""
+    pending: list[ast.AST] = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, SCOPES):
+            continue
+        if isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            yield names, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            name = getattr(node.target, "id", "")
+            yield [name], node.value
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_side_tables():
+    # Data about a call belongs in the call's return value: a module
+    # level weak-key table or thread-local is a side channel every
+    # caller in the process shares.
+    found = set()
+    for path in modules():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for names, value in module_level_assignments(tree):
+            if not isinstance(value, ast.Call):
+                continue
+            func = value.func
+            called = getattr(func, "attr", None) or getattr(func, "id", "")
+            if called in SIDE_TABLE_FACTORIES:
+                found.update((module_name(path), name) for name in names)
+    assert found == SIDE_TABLES
