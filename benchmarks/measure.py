@@ -1,8 +1,8 @@
 """Drift-robust overhead measurement for the benchmark gates.
 
-The <5% happy-path gates (bench_faults, bench_parallel) compare two
-code paths whose true difference is a few microseconds on a ~200µs
-call.  Two effects dominate a naive measurement at that resolution:
+The <5% happy-path gate (bench_faults) compares two code paths whose
+true difference is a few microseconds on a ~200µs call.  Two effects
+dominate a naive measurement at that resolution:
 
 * **clock drift** — measuring path A in one block and path B in
   another lets frequency scaling / scheduling shifts between the
@@ -23,19 +23,6 @@ from __future__ import annotations
 import gc
 import time
 from typing import Callable
-
-
-def best_call_time(
-    fn: Callable[[], object], *, repeat: int, rounds: int
-) -> float:
-    """Minimum per-call time over ``rounds`` rounds of ``repeat`` calls."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for _ in range(repeat):
-            fn()
-        best = min(best, (time.perf_counter() - start) / repeat)
-    return best
 
 
 def overhead_ratio(

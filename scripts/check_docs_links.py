@@ -10,10 +10,11 @@ CHANGES.md, docs/*.md) and verifies that
 2. every **backtick code reference** that looks like a repo path --
    a token starting with ``src/``, ``docs/``, ``tests/``,
    ``benchmarks/``, ``examples/`` or ``scripts/``, or a root-level
-   ``*.md`` -- resolves, and when it carries a ``:LINE`` suffix the
-   file actually has that many lines.  ``::`` pytest selectors are
-   checked by their file part; glob-ish tokens (``*`` or ``{``) and
-   dotted module paths are ignored;
+   ``*.md`` or ``*.json`` -- resolves, and when it carries a ``:LINE``
+   suffix the file actually has that many lines.  ``::`` pytest
+   selectors are checked by their file part; glob-ish tokens (``*`` or
+   ``{``) and dotted module paths are ignored.  CHANGES.md is history:
+   there a path that no longer exists passes when git history has it;
 3. every **registered diagnostic code** (``repro.errors``'s unified
    namespace, populated by importing the code-registering packages)
    appears in ``docs/DIAGNOSTICS.md``, and every code row of the
@@ -31,7 +32,10 @@ CHANGES.md, docs/*.md) and verifies that
 7. every **stats-registry name** (``repro.obs.registry``'s registered
    caches and sections, populated by importing the packages that
    register them) has a row in the stats catalogue of
-   ``docs/OBSERVABILITY.md``, and every row there is registered.
+   ``docs/OBSERVABILITY.md``, and every row there is registered;
+8. every **``make <target>``** named in backticks is a target of the
+   Makefile, so a deleted recipe cannot live on in the docs.
+   CHANGES.md is history and is exempt.
 
 Exit status: 0 when everything resolves, 1 otherwise (one line per
 broken reference).  Wired into ``make check-docs`` / ``make check``.
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,19 +65,29 @@ DOC_FILES = sorted(
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN = re.compile(r"`([^`]+)`")
+FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 # Repo-path-shaped tokens only: a recognized directory prefix or a
 # root-level markdown file.  Everything else in backticks (CLI flags,
 # module dotted paths, content models) is out of scope by design.
 PATH_TOKEN = re.compile(
     r"^(?:(?:src|docs|tests|benchmarks|examples|scripts)/[\w./\-]+"
-    r"|[\w\-]+\.md)"
+    r"|[\w\-]+\.(?:md|json))"
     r"(?::(\d+))?$"
 )
 ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
+MAKE_CALL = re.compile(r"(?:^|\s)make ([\w][\w\-]*)")
+MAKE_RULE = re.compile(r"^([\w\-][\w\- ]*):(?!=)", re.MULTILINE)
 SPAN_CATALOGUE = "## Span catalogue"
 STATS_CATALOGUE = "## Stats catalogue"
 NAME_ROW = re.compile(r"^\| `([^`]+)` \|", re.MULTILINE)
 CODE_ROW = re.compile(r"^\| ([A-Z]+[0-9]{3}) \|", re.MULTILINE)
+
+
+def code_spans(text: str):
+    """Inline code spans, with fenced blocks blanked first: a fence's
+    backticks would otherwise pair with the prose after it."""
+    prose = FENCE.sub(lambda block: "\n" * block.group(0).count("\n"), text)
+    return CODE_SPAN.finditer(prose)
 
 
 def iter_md_links(text: str):
@@ -98,7 +113,7 @@ def check_file(path: Path) -> list[str]:
                 f"{rel}:{lineno(match.start())}: broken link ({target})"
             )
 
-    for match in CODE_SPAN.finditer(text):
+    for match in code_spans(text):
         token = match.group(1).split("::", 1)[0].strip()
         if "*" in token or "{" in token or " " in token:
             continue
@@ -115,6 +130,8 @@ def check_file(path: Path) -> list[str]:
                 )
             continue
         if not resolved.is_file():
+            if rel.name == "CHANGES.md" and _in_history(file_part):
+                continue
             problems.append(
                 f"{rel}:{lineno(match.start())}: "
                 f"code ref to missing file ({token})"
@@ -126,6 +143,41 @@ def check_file(path: Path) -> list[str]:
                     f"{rel}:{lineno(match.start())}: code ref past end of "
                     f"file ({token}; {file_part} has {n_lines} lines)"
                 )
+    return problems
+
+
+def _in_history(path: str) -> bool:
+    """Did any commit ever touch ``path``?"""
+    result = subprocess.run(
+        ["git", "log", "-1", "--format=%H", "--", path],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+    )
+    return bool(result.stdout.strip())
+
+
+def check_make_targets(docs: list[Path]) -> list[str]:
+    """Every backticked ``make <target>`` must be a Makefile target."""
+    makefile = (REPO / "Makefile").read_text(encoding="utf-8")
+    targets = {
+        target
+        for match in MAKE_RULE.finditer(makefile)
+        for target in match.group(1).split()
+    }
+    problems = []
+    for doc in docs:
+        if doc.name == "CHANGES.md":
+            continue
+        text = doc.read_text(encoding="utf-8")
+        for span in code_spans(text):
+            for call in MAKE_CALL.finditer(span.group(1)):
+                if call.group(1) not in targets:
+                    line = text.count("\n", 0, span.start()) + 1
+                    problems.append(
+                        f"{doc.relative_to(REPO)}:{line}: make target "
+                        f"{call.group(1)} is not in the Makefile"
+                    )
     return problems
 
 
@@ -273,6 +325,7 @@ def main() -> int:
     problems.extend(check_environment_variables(DOC_FILES))
     problems.extend(check_span_catalogue())
     problems.extend(check_stats_catalogue())
+    problems.extend(check_make_targets(DOC_FILES))
     for problem in problems:
         print(problem)
     checked = ", ".join(str(p.relative_to(REPO)) for p in DOC_FILES)

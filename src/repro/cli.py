@@ -372,6 +372,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else MatViewPolicy(max_bytes=args.cache_bytes)
     )
     try:
+        policy = ServePolicy(
+            max_inflight=args.max_inflight,
+            max_queue=args.max_queue,
+            default_budget=args.budget,
+            per_source_concurrency=args.per_source_concurrency,
+        )
         mediator = build_serve_workload(
             args.workload,
             n_sources=args.sources,
@@ -385,12 +391,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    policy = ServePolicy(
-        max_inflight=args.max_inflight,
-        max_queue=args.max_queue,
-        default_budget=args.budget,
-        per_source_concurrency=args.per_source_concurrency,
-    )
     server = MediatorServer(
         mediator, policy, host=args.host, port=args.port
     )

@@ -98,14 +98,12 @@ if TYPE_CHECKING:
 class MatViewPolicy:
     """Knobs for a mediator's materialized-view cache.
 
-    ``delta=False`` disables splicing, so any mutation of a
-    contributing document costs a full recompute; ``max_bytes`` bounds
-    the sum of cached answer-size estimates and cached answer bytes
-    (LRU eviction).  Every spliced answer is re-validated against the
-    inferred view DTD before release (a soundness check, always on).
+    ``max_bytes`` bounds the sum of cached answer-size estimates and
+    cached answer bytes (LRU eviction).  Every spliced answer is
+    re-validated against the inferred view DTD before release (a
+    soundness check, always on).
     """
 
-    delta: bool = True
     max_bytes: int = 8 << 20
 
 
@@ -470,8 +468,7 @@ class MatViewCache:
         if not dirty:
             return "rearm-hit", None
         if (
-            self.policy.delta
-            and entry.spliceable
+            entry.spliceable
             and len(dirty) == 1
             and entry.legs[dirty[0].leg].delta_query is not None
         ):

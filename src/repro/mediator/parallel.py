@@ -15,7 +15,7 @@ Inline fan-out (a pool of one, ``fanout=None``) calls the legs in
 turn, in leg order; N sources cost the *sum* of their latencies.  A
 larger pool dispatches the legs on worker threads so they cost the
 *max* — the single largest hot-path win left after compilation and
-indexing (see ``BENCH_PR7.json``).
+indexing.
 
 Two properties of inline fan-out are preserved on the pool:
 

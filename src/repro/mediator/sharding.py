@@ -60,8 +60,7 @@ shard-locally — the delta query re-runs over the one dirty fragment
 document only.
 
 See docs/SHARDING.md for the fragmentation model, the pruning
-soundness argument, shard fault semantics, and the benchmark
-methodology behind ``benchmarks/bench_sharding.py``.
+soundness argument and shard fault semantics.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .metrics import (
     MetricsRegistry,
     REGISTRY,
 )
-from .registry import clear_caches, kernel_stats, kernel_summary, render_stats
+from .registry import clear_caches, kernel_stats, render_stats
 from .tracing import (
     NOOP_SPAN,
     Span,
@@ -66,7 +66,6 @@ __all__ = [
     "finish_span",
     "install_tracer",
     "kernel_stats",
-    "kernel_summary",
     "render_stats",
     "set_attribute",
     "span",

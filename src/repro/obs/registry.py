@@ -146,20 +146,6 @@ def kernel_stats() -> Dict[str, Any]:
     return stats
 
 
-def kernel_summary() -> Dict[str, int]:
-    """Aggregate one-line counters (cheap enough for benchmark extra_info)."""
-    stats = kernel_stats()
-    cache_hits = sum(int(c.get("hits", 0)) for c in stats["caches"].values())
-    cache_misses = sum(int(c.get("misses", 0)) for c in stats["caches"].values())
-    return {
-        "interned_nodes": sum(c["live"] for c in stats["interning"].values()),
-        "intern_hits": sum(c["hits"] for c in stats["interning"].values()),
-        "intern_misses": sum(c["misses"] for c in stats["interning"].values()),
-        "cache_hits": cache_hits,
-        "cache_misses": cache_misses,
-    }
-
-
 def render_stats() -> str:
     """Human-readable stats (the CLI ``--stats`` output)."""
     stats = kernel_stats()

@@ -61,6 +61,16 @@ class ServePolicy:
     #: per-source transport concurrency gate (0 disables the gate)
     per_source_concurrency: int = 4
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.default_budget) and self.default_budget > 0):
+            raise ValueError("default_budget must be a finite positive number")
+        if self.max_inflight < 1:
+            raise ValueError("max_inflight must be at least 1")
+        if self.max_queue < 0 or self.per_source_concurrency < 0:
+            raise ValueError(
+                "max_queue and per_source_concurrency must not be negative"
+            )
+
 
 @dataclass
 class ServerStats:
@@ -108,8 +118,8 @@ class AdmissionController:
     """
 
     def __init__(self, max_inflight: int, max_queue: int) -> None:
-        self.max_inflight = max(1, max_inflight)
-        self.max_queue = max(0, max_queue)
+        self.max_inflight = max_inflight
+        self.max_queue = max_queue
         self._cond = threading.Condition()
         self._inflight = 0
         self._queued = 0

@@ -296,8 +296,8 @@ def sharded_source(
     the full logical DTD.  As the shard count grows the journal
     documents concentrate into fewer, purer shards — exactly the
     regime where the DOI'd-journal-articles views prune the conference
-    shards statically (``benchmarks/bench_sharding.py`` runs this as
-    the 1→64 ladder).
+    shards statically (``tests/mediator/test_sharding.py`` shards this
+    corpus 1→64 ways).
     """
     from ..mediator import ShardedSource, Source, partition_documents
 

@@ -115,3 +115,36 @@ class TestEndToEndCollapsing:
         first = compute_equivalence(result.sdtd)
         second = compute_equivalence(result.sdtd)
         assert first == second
+
+
+class TestCollapseAtScale:
+    GROUPS = 8
+    PER_GROUP = 8
+
+    def ladder(self):
+        """``GROUPS * PER_GROUP`` specializations of ``a``: group ``g``
+        means "at least ``g`` b-children" in three rotating spellings,
+        so tags are equivalent within a group and never across groups
+        (footnote 8's many equivalent tags, at scale)."""
+        tags = range(1, self.GROUPS * self.PER_GROUP + 1)
+        decls = {
+            "v": ", ".join(f"a^{tag}" for tag in tags),
+            "a": "b*",
+            "b": "#PCDATA",
+        }
+        for tag in tags:
+            group, i = divmod(tag - 1, self.PER_GROUP)
+            decls[f"a^{tag}"] = "b, " * group + (
+                "b+", "b, b*", "b, (b, b*)?"
+            )[i % 3]
+        return sdtd(decls, root="v")
+
+    def test_one_class_per_group(self):
+        s = self.ladder()
+        classes = set(compute_equivalence(s).values())
+        # one class per group plus the distinct base `a` (b*)
+        assert len({rep for rep in classes if rep[0] == "a"}) == self.GROUPS + 1
+        collapsed, mapping = collapse_equivalent(s)
+        a_keys = [key for key in collapsed.types if key[0] == "a"]
+        assert len(a_keys) == self.GROUPS + 1
+        assert len(mapping) == self.GROUPS * self.PER_GROUP + 3

@@ -242,15 +242,6 @@ class TestDeltaMaintenance:
             cold_answer(mediator)
         )
 
-    def test_delta_disabled_policy_recomputes(self):
-        mediator = federation(cache=MatViewPolicy(delta=False))
-        mediator.materialize_union(VIEW)
-        document, publication = find_journal_pick(mediator)
-        publication.children[0].set_text("retitled")
-        mediator.materialize_union(VIEW)
-        assert mediator.last_cache_outcome == "miss"
-        assert mediator.matview.info()["deltas"] == 0
-
     def test_mutation_during_inflight_evaluation_is_conservative(self):
         # A store token carries the clock stamp from *before* the
         # evaluation.  A mutation landing mid-flight must leave the

@@ -229,6 +229,31 @@ class TestPruning:
             assert fast.root.structurally_equal(slow.root)
         assert pruning.stats.shards_pruned > 0
 
+    def test_prune_ladder_matches_the_oracle(self):
+        # 256 documents, the 4 journal-only ones first: as the shard
+        # count grows they concentrate in one shard and every other
+        # shard is pruned statically, while the answer never changes.
+        documents = list(
+            bibdb.sharded_source(
+                "bib0", n_docs=256, n_shards=1, journal_fraction=1 / 64
+            ).documents
+        )
+        venues = parse_query(
+            """
+            journalVenues = SELECT N
+            WHERE <bibdb> <venue> N:<venueName/> <journalInfo/> </> </>
+            """,
+            source="bib0",
+        )
+        expected = oracle(documents).query(venues)
+        for n_shards in (1, 4, 16, 64):
+            source = sharded(documents, n_journal=4, n_shards=n_shards)
+            survivors, pruned = source.prune(venues)
+            assert (len(pruned), len(survivors)) == (n_shards - 1, 1)
+            answer = source.query(venues)
+            assert answer.root.structurally_equal(expected.root)
+            assert source.stats.shards_called == 1
+
 
 class TestMergeOrder:
     def test_partition_is_contiguous_and_order_preserving(self):

@@ -192,6 +192,25 @@ class TestServerBasics:
 
 
 class TestAdmissionController:
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"default_budget": float("nan")},
+            {"default_budget": float("inf")},
+            {"default_budget": 0.0},
+            {"default_budget": -1.0},
+            {"max_inflight": 0},
+            {"max_queue": -1},
+            {"per_source_concurrency": -1},
+        ],
+        ids=lambda knobs: "{}={}".format(*next(iter(knobs.items()))),
+    )
+    def test_policy_rejects_invalid_configuration(self, knobs):
+        # A bad server default must fail at construction, not blame
+        # every client request that names no budget (SRV001).
+        with pytest.raises(ValueError):
+            ServePolicy(**knobs)
+
     def make_deadline(self, budget):
         from repro.mediator import Deadline, SystemClock
 

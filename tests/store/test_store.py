@@ -284,6 +284,43 @@ class TestPageCache:
             assert info["resident_rows"] <= budget
             assert info["page_evictions"] > 0
 
+    def test_sweep_peak_is_bounded_by_the_page_budget(self):
+        """A full-corpus sweep through the stored index holds one page
+        budget of rows, not the corpus: its traced peak stays under
+        half the peak of materializing the corpus as trees."""
+        import random
+        import tracemalloc
+
+        from repro.dtd import generate_document
+
+        policy = StorePolicy(page_size=64, max_pages=8)
+        budget = policy.page_size * policy.max_pages
+        rng = random.Random(7)
+        with DocumentStore(":memory:", policy=policy) as store:
+            for _ in range(48):
+                store.ingest_document(generate_document(paper.d1(), rng))
+            assert store.n_elements() >= 4 * budget
+            handles = store.documents()
+
+            def sweep():
+                for handle in handles:
+                    index = handle.stored_index()
+                    for pos in range(len(index)):
+                        index.pcdata_at(pos)
+
+            sweep()  # build the indexes: measure steady-state residency
+            tracemalloc.start()
+            sweep()
+            _, sweep_peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert store.cache_info()["resident_rows"] <= budget
+            tracemalloc.start()
+            trees = [handle.root for handle in handles]
+            _, materialize_peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert len(trees) == len(handles)
+            assert sweep_peak < materialize_peak / 2
+
     def test_hot_pages_hit_the_cache(self):
         """A second index over the same document reuses the shared LRU."""
         with DocumentStore(":memory:") as store:
@@ -466,6 +503,27 @@ class TestSourceIntegration:
             store.drop_caches()
             source.query(self._query())
             assert store.cache_info()["hydrations"] == 0
+
+    def test_cold_reopen_answers_without_hydrating(self, tmp_path):
+        """A reopened file reads the arrays back instead of re-deriving
+        them from XML: it answers like the in-memory source, with 0
+        hydrations."""
+        from repro.mediator import Source
+
+        schema, documents = self._corpus()
+        path = tmp_path / "corpus.db"
+        with DocumentStore(path) as store:
+            for document in documents:
+                store.ingest_document(document, source="dept")
+        with DocumentStore(path) as store:
+            answer = Source.from_store("dept", schema, store).query(
+                self._query()
+            )
+            assert store.cache_info()["hydrations"] == 0
+        oracle = Source("dept", schema, documents, validate=False)
+        assert answer.root.structurally_equal(
+            oracle.query(self._query()).root
+        )
 
     def test_fallback_hydrates_each_document_once(self):
         """A non-projectable plan enumerates over ``.root``, which

@@ -384,6 +384,28 @@ class TestServeCli:
             assert result["answered"] == 10
             assert result["view"] == "journals"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--budget", "nan"],
+            ["--budget", "0"],
+            ["--max-inflight", "0"],
+            ["--max-queue", "-1"],
+            ["--per-source-concurrency", "-1"],
+        ],
+    )
+    def test_serve_rejects_invalid_policy(self, flags, capsys, monkeypatch):
+        from repro.serve import MediatorServer
+
+        def interrupted(self):
+            raise KeyboardInterrupt
+
+        # Never block: an accepted policy would serve until interrupted.
+        monkeypatch.setattr(MediatorServer, "serve_forever", interrupted)
+        code = main(["serve", "--workload", "paper", "--port", "0", *flags])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bench_serve_unknown_view_fails(self, capsys):
         from repro.serve import (
             MediatorServer,

@@ -10,19 +10,23 @@ same copied structure.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 
+from repro.workloads import paper
 from repro.xmas import (
     bindings,
     compile_query,
     evaluate,
     legacy_picked_elements,
+    parse_query,
     picked_elements,
 )
-from repro.xmlmodel import Document, Element
+from repro.xmlmodel import Document, Element, elem, text_elem
 from tests.strategies import document_strategy, eval_query_strategy
 
 
@@ -96,3 +100,73 @@ def test_distinct_nodes_never_bind_one_element(document, query):
         assert _ids(legacy_picked_elements(query, document)) == _ids(
             legacy_picked_elements(unconstrained, document)
         )
+
+
+def _fanout_document(n_members: int, n_pubs: int) -> Document:
+    """A wide department: (Q2)'s sibling conditions must bind
+    injectively over many candidate publications per member."""
+    members = []
+    for m in range(n_members):
+        pubs = [
+            elem(
+                "publication",
+                text_elem("title", f"t{i}"),
+                text_elem("author", "a"),
+                text_elem("journal", f"J{i}")
+                if (i + m) % 3 != 0
+                else text_elem("conference", f"C{i}"),
+            )
+            for i in range(n_pubs)
+        ]
+        teaches = [text_elem("teaches", "x")] if m % 2 == 0 else []
+        members.append(
+            elem(
+                "professor" if m % 2 == 0 else "gradStudent",
+                text_elem("firstName", f"f{m}"),
+                text_elem("lastName", f"l{m}"),
+                *pubs,
+                *teaches,
+            )
+        )
+    return Document(elem("department", text_elem("name", "CS"), *members))
+
+
+def _section_chain(depth: int, branch_every: int = 8) -> Document:
+    """Example 3.5's recursion: the target sits ``depth`` sections down,
+    with a side section every ``branch_every`` levels."""
+    node = elem("section", text_elem("title", "target"))
+    for level in range(depth - 1):
+        children = [text_elem("title", f"s{level}"), node]
+        if level % branch_every == 0:
+            children.append(elem("section", text_elem("title", "side")))
+        node = elem("section", *children)
+    return Document(elem("report", node))
+
+
+DEEP = "deep = SELECT S WHERE <report> S:<section*><title>target</title></> </>"
+
+
+@pytest.mark.parametrize(
+    "build, query, size, picked",
+    [
+        (lambda: _fanout_document(24, 8), paper.q2, 854, 24),
+        (lambda: _fanout_document(48, 16), paper.q2, 3242, 48),
+        (lambda: _section_chain(400), lambda: parse_query(DEEP), 901, 1),
+    ],
+    ids=["fanout-24x8", "fanout-48x16", "section-chain-400"],
+)
+def test_fixed_shapes_agree(build, query, size, picked):
+    """The evaluator's stress shapes: wide sibling fan-out and a deep
+    recursive chain answer like the enumeration, with pinned counts."""
+    document, query = build(), query()
+    assert document.size() == size
+    compiled = picked_elements(query, document)
+    # the enumeration recurses once per section level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4000))
+    try:
+        legacy = legacy_picked_elements(query, document)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert _ids(compiled) == _ids(legacy)
+    assert len(compiled) == picked
