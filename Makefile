@@ -2,6 +2,10 @@
 
 .PHONY: install test bench bench-smoke perfbench-test examples lint check-docs trace-smoke serve-smoke matview-smoke store-smoke verify check all
 
+# Every recipe runs the package from the checkout: find `repro` under
+# src/ without an install, keeping any PYTHONPATH the caller set.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 install:
 	pip install -e . --no-build-isolation
 

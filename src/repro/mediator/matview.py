@@ -5,39 +5,44 @@ or ``query_view`` call fans out to the sources and re-evaluates, even
 when nothing changed.  Two earlier pieces make materialization sound:
 
 * the inferred view DTD says what a valid answer looks like, and
-* the global mutation clock (:mod:`repro.xmlmodel.element`) stamps
-  every document edit, so "nothing changed" is an O(1) question.
+* the mutation journal (:mod:`repro.xmlmodel.element`) records every
+  document edit under a global stamp, so "nothing changed" is an O(1)
+  question and "what changed?" costs O(edits since).
 
 A :class:`MatViewCache` keeps validated answers keyed by (kind, view
-name, compiled-plan signature) and revalidates hits with exactly the
-fast-path/re-arm discipline of
+name, compiled-plan signature).  Each entry carries the stamp at which
+it was last validated, and a probe revalidates it with the same
+fast-path/re-arm discipline as
 :func:`repro.xmlmodel.index.document_index`:
 
 1. **O(1) fast path** -- the global clock has not moved since the
-   entry was last validated: serve the answer.
-2. **Re-arm scan** -- the clock moved, but a scan shows none of the
-   entry's contributing documents did: re-stamp the entry and serve.
-3. **Delta maintenance** -- exactly one contributing document mutated
-   and the entry knows which slice of the answer that document
+   entry's stamp: serve the answer.
+2. **Re-arm** -- the clock moved, but no object edited since the
+   stamp (the journal suffix) is in the served master or in a
+   contributing document's index: re-stamp the entry and serve.
+3. **Delta maintenance** -- exactly one contributing document was
+   edited and the entry knows which slice of the answer that document
    produced (the answer's ``pick_counts``: how many picks each
    document contributed): re-run the query over that one document,
    splice the fresh picks into the materialized answer, re-validate
    the spliced answer against the inferred view DTD, re-stamp.
    Validation failure (``MED007``) falls back to a full recompute.
 4. **Invalidate** -- anything else (several dirty documents, changed
-   document lists, no pick counts): drop the entry and recompute.
+   document lists, no pick counts, or a journal that no longer reaches
+   back to the entry's stamp -- unknown, which recomputes and never
+   scans): drop the entry and recompute.
 
 Served answers are **shared snapshots**: a hit returns the cached
 master document itself rather than a per-hit deep copy (the copy would
 cost more than the recompute it saves on small answers, and dominates
 the hit path on large ones).  This is sound under the model's own
-mutation contract -- edits MUST go through the stamped ``Element``
-APIs -- because an edit to a served answer bumps the global clock, and
-the next probe's re-arm scan covers the master's elements too: a
-poisoned master is invalidated, never served.  Delta maintenance never
-edits a served master in place either; it builds a *new* root sharing
-the untouched pick subtrees, so answers held from earlier hits stay
-stable.
+mutation contract -- edits MUST go through the journaled ``Element``
+APIs -- because each entry keeps the ids of its master's elements
+(root and document included), so the next probe sees an edit to a
+served answer in the journal: a poisoned master is invalidated, never
+served.  Delta maintenance never edits a served master in place
+either; it builds a *new* root sharing the untouched pick subtrees,
+so answers held from earlier hits stay stable.
 
 A snapshot also keeps its **cached bytes**, the answer in the form
 the serve protocol sends: one serialized fragment per top-level pick
@@ -46,9 +51,9 @@ writer's own join, the whole answer as a JSON string literal.  Both
 are built on the first :meth:`MatViewCache.answer_json` and handed out
 only for the entry's current master, under the same freshness test as
 a hit (clock unmoved, or the master intact), so a caller edit, a
-delta, an eviction or a ``MED007`` fallback each refuses them.  A
-delta splice swaps the fragments of the slice it swaps, rendering
-only the fresh picks.
+journal overflow, a delta, an eviction or a ``MED007`` fallback each
+refuses them.  A delta splice swaps the fragments of the slice it
+swaps, rendering only the fresh picks.
 
 Entries are LRU-bounded by a byte budget (answer-size estimate plus
 cached bytes) and the cache is thread-safe: one warm cache is shared
@@ -79,7 +84,7 @@ from ..obs import registry
 from ..xmas import Query, evaluate_many
 from ..xmas.engine import CompiledPlan, compile_query
 from ..xmlmodel import Document, serialize_element
-from ..xmlmodel.element import mutation_stamp
+from ..xmlmodel.element import mutation_stamp, touched_since
 from ..xmlmodel.index import DocumentIndex, document_index
 from ..xmlmodel.serializer import join_document
 
@@ -167,8 +172,11 @@ class _DocState:
     recompute-only); ``index`` is the document's
     :class:`DocumentIndex` at entry-build time, kept so staleness can
     be decided with the same completeness argument as
-    ``_index_is_fresh``: new elements necessarily hang off a mutated
-    indexed parent.
+    ``DocumentIndex.changed_since``: new elements necessarily hang off
+    an edited indexed parent.  The index answers ``fresh_at`` itself:
+    an in-memory index from the journal (a replaced root, or unknown,
+    is not fresh), a store-backed one from the store's generation
+    counter.
     """
 
     __slots__ = ("leg", "document", "index", "start", "stop")
@@ -187,12 +195,6 @@ class _DocState:
         self.start = start
         self.stop = stop
 
-    def fresh_at(self, stamp: int) -> bool:
-        if self.document.mutation_version > stamp:
-            return False
-        # Delegated so store-backed indexes can answer from their
-        # on-disk generation counter instead of scanning Element rows.
-        return self.index.fresh_at(stamp)
 
 
 class _Entry:
@@ -201,11 +203,10 @@ class _Entry:
         "view_name",
         "dtd",
         "answer",
-        "pick_elems",
+        "elem_ids",
         "fragments",
         "payload",
         "bytes",
-        "built_stamp",
         "stamp",
         "legs",
         "leg_docs",
@@ -222,7 +223,7 @@ class _Entry:
         legs: tuple[CacheLeg, ...],
         leg_docs: tuple[tuple[Document, ...], ...],
         docs: list[_DocState],
-        built_stamp: int,
+        stamp: int,
         spliceable: bool,
     ) -> None:
         self.key = key
@@ -230,14 +231,13 @@ class _Entry:
         self.dtd = dtd
         self.answer = answer
         # The master is served by reference, so a caller edit (through
-        # the stamped APIs) must be detectable: keep the element set,
-        # one tuple per top-level pick so delta maintenance can swap
-        # slices without re-walking untouched subtrees.  New elements
-        # can only appear under a mutated (hence stamped, hence
-        # caught) parent.
-        self.pick_elems = [
-            tuple(child.iter()) for child in answer.root.children
-        ]
+        # the journaled APIs) must be detectable: keep the ids of its
+        # elements, root and document included.  The master holds
+        # them, so none is reused while the entry checks it.  New
+        # elements can only appear under an edited (hence journaled,
+        # hence caught) parent.
+        self.elem_ids = {id(el) for el in answer.root.iter()}
+        self.elem_ids.add(id(answer))
         # The answer as the wire needs it, built on first request:
         # each pick's serialized text as a JSON string body (escaping
         # is per character, so bodies concatenate like the text), and
@@ -245,25 +245,21 @@ class _Entry:
         self.fragments: list[str] | None = None
         self.payload: bytes | None = None
         self.bytes = estimate_bytes(answer)
-        self.built_stamp = built_stamp
-        self.stamp = built_stamp
+        # the clock at which the entry was last validated
+        self.stamp = stamp
         self.legs = legs
         self.leg_docs = leg_docs
         self.docs = docs
         self.spliceable = spliceable
 
-    def answer_intact(self) -> bool:
-        stamp = self.built_stamp
-        if (
-            self.answer.mutation_version > stamp
-            or self.answer.root.mutation_version > stamp
-        ):
-            return False
-        for elems in self.pick_elems:
-            for el in elems:
-                if el.mutation_version > stamp:
-                    return False
-        return True
+    def answer_intact(self) -> bool | None:
+        """Whether no edit since ``stamp`` touched the master; ``None``
+        when the journal no longer reaches back to ``stamp``."""
+        touched = touched_since(self.stamp)
+        if touched is None:
+            return None
+        ids = self.elem_ids
+        return not any(id(obj) in ids for obj in touched)
 
     def provenance(self) -> list[tuple[str, int, tuple[int, int]]]:
         """Per contributing document: (source, picks, answer slice)."""
@@ -450,20 +446,23 @@ class MatViewCache:
 
         Verdicts: ``fast-hit`` (clock unmoved), ``rearm-hit`` (moved,
         entry untouched), ``delta`` (one dirty spliceable document),
-        ``docs-changed``, ``answer-mutated`` (a caller edited the
-        served master), ``stale``.
+        ``docs-changed``, ``unknown`` (the journal no longer reaches
+        back to the entry's stamp), ``answer-mutated`` (a caller
+        edited the served master), ``stale``.
         """
         if not self._docs_unchanged(entry):
             return "docs-changed", None
-        stamp = mutation_stamp()
-        if stamp == entry.stamp:
+        if mutation_stamp() == entry.stamp:
             return "fast-hit", None
-        if not entry.answer_intact():
+        intact = entry.answer_intact()
+        if intact is None:
+            return "unknown", None
+        if not intact:
             return "answer-mutated", None
         dirty = [
             state
             for state in entry.docs
-            if not state.fresh_at(entry.built_stamp)
+            if not state.index.fresh_at(entry.stamp)
         ]
         if not dirty:
             return "rearm-hit", None
@@ -529,7 +528,7 @@ class MatViewCache:
                 return CacheOutcome("hit", answer=entry.answer)
             if verdict == "delta":
                 assert dirty is not None
-                maintained = self._maintain(entry, dirty)
+                maintained = self._maintain(entry, dirty, stamp)
                 if maintained is not None:
                     self.deltas += 1
                     self._entries.move_to_end(key)
@@ -540,7 +539,7 @@ class MatViewCache:
                 return self._miss(
                     key, view_name, dtd, legs, "stale-delta"
                 )
-            # docs-changed or stale: drop and recompute
+            # docs-changed, unknown, answer-mutated or stale: recompute
             self._drop(key)
             self.invalidations += 1
             self.misses += 1
@@ -595,7 +594,7 @@ class MatViewCache:
         )
 
     def _maintain(
-        self, entry: _Entry, dirty: _DocState
+        self, entry: _Entry, dirty: _DocState, stamp: int
     ) -> Document | None:
         """Splice one dirty document's fresh picks into the answer.
 
@@ -603,9 +602,10 @@ class MatViewCache:
         earlier hits must stay stable -- so maintenance builds a *new*
         root whose child list splices the fresh picks between the
         untouched pick subtrees (shared by reference).  Returns the
-        new master, or ``None`` after dropping the entry when the
-        spliced answer no longer validates against the inferred view
-        DTD (``MED007``).
+        new master, re-stamped at ``stamp`` (the clock the caller's
+        classification validated up to), or ``None`` after dropping
+        the entry when the spliced answer no longer validates against
+        the inferred view DTD (``MED007``).
         """
         from ..xmlmodel import Element, fresh_id
 
@@ -614,7 +614,6 @@ class MatViewCache:
         with obs.span("matview.delta") as sp:
             sp.set_attribute("view", entry.view_name)
             sp.set_attribute("source", leg.source_name)
-            stamp = mutation_stamp()
             fresh = evaluate_many(leg.delta_query, [dirty.document])
             new_children = list(fresh.root.children)
             old = entry.answer.root.content
@@ -648,10 +647,16 @@ class MatViewCache:
                     self._drop(entry.key)
                     return None
             dirty.index = document_index(dirty.document)
+            ids = entry.elem_ids
+            ids.difference_update(
+                id(el) for pick in old[start:stop] for el in pick.iter()
+            )
+            ids.difference_update((id(entry.answer), id(entry.answer.root)))
+            ids.update(
+                id(el) for pick in new_children for el in pick.iter()
+            )
+            ids.update((id(maintained), id(maintained.root)))
             entry.answer = maintained
-            entry.pick_elems[start:stop] = [
-                tuple(child.iter()) for child in new_children
-            ]
             encoded = 0
             if entry.fragments is not None:
                 fresh_fragments = _render_picks(new_children)
@@ -663,7 +668,6 @@ class MatViewCache:
             if entry.payload is not None:
                 encoded -= len(entry.payload)
                 entry.payload = None
-            entry.built_stamp = stamp
             entry.stamp = stamp
             self._bytes -= entry.bytes
             entry.bytes += (

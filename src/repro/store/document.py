@@ -250,7 +250,6 @@ class StoredDocument(Document):
     ) -> None:
         # No super().__init__: the dataclass initializer assigns
         # ``self.root``, which is a read-only property here.
-        self.mutation_version = 0
         self.store = store
         self.doc_id = doc_id
         self.source = source

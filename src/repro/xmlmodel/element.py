@@ -14,6 +14,8 @@ allowed and distinct from PCDATA elements with the empty string.
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
@@ -25,12 +27,24 @@ def fresh_id() -> str:
     return f"e{next(_id_counter)}"
 
 
-# Process-wide mutation clock.  Every mutating API stamps its element
-# (and bumps this global), so caches keyed on object identity -- the
-# document index, chiefly -- can validate a hit in O(1) against the
-# global stamp and only fall back to a scan when *something* mutated
-# since they were built (see repro.xmlmodel.index.document_index).
+# Process-wide mutation clock and journal.  Every mutating API
+# advances the clock and journals the object it edited under the new
+# stamp, so a cache built at stamp ``s`` -- the document index, the
+# matview cache -- can ask "what changed since ``s``?" and pay for the
+# edits made since, not for the size of what it caches (see
+# repro.xmlmodel.index.document_index).  The journal is bounded; a
+# question about a stamp it no longer reaches back to is answered
+# "unknown" and the asker rebuilds.  It holds its objects strongly, so
+# an ``id()`` seen in it cannot belong to a different live object.
+
+#: stamped edits the journal remembers
+JOURNAL_SIZE = 1024
+
 _mutations = 0
+_journal: "deque[tuple[int, object]]" = deque(maxlen=JOURNAL_SIZE)
+# Racing edits must not share a stamp (a cache validated at that stamp
+# would miss one of them), and readers must not see the deque mid-append.
+_journal_lock = threading.Lock()
 
 
 def mutation_stamp() -> int:
@@ -38,10 +52,28 @@ def mutation_stamp() -> int:
     return _mutations
 
 
-def _bump_mutations() -> int:
+def _record(obj: object) -> None:
+    """Advance the clock and journal ``obj`` under the new stamp."""
     global _mutations
-    _mutations += 1
-    return _mutations
+    with _journal_lock:
+        _mutations += 1
+        _journal.append((_mutations, obj))
+
+
+def touched_since(stamp: int) -> list[object] | None:
+    """The objects edited after ``stamp``, newest first, repeats kept.
+
+    ``None`` means unknown: the journal no longer reaches back to
+    ``stamp``.  Stamps are consecutive, so the suffix after ``stamp``
+    is the journal's last ``mutation_stamp() - stamp`` entries.
+    """
+    with _journal_lock:
+        count = _mutations - stamp
+        if count <= 0:
+            return []
+        if count > len(_journal):
+            return None
+        return [obj for _, obj in itertools.islice(reversed(_journal), count)]
 
 
 @dataclass(eq=False)
@@ -61,24 +93,21 @@ class Element:
     id: str = field(default_factory=fresh_id)
     #: non-ID attributes (Appendix A layer; empty under the core model)
     attributes: dict[str, str] = field(default_factory=dict)
-    #: value of the global mutation clock at this element's last
-    #: mutation (0 = never mutated); maintained by the mutating APIs
-    mutation_version: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("element name must be non-empty")
 
-    # -- mutation (version-stamped) -------------------------------------
+    # -- mutation (journaled) -------------------------------------------
     #
     # Documents served by sources are immutable in practice, which is
     # what makes index caching sound -- but nothing stops a caller from
     # editing a held tree.  Mutations MUST go through these APIs: they
-    # stamp the element so the cached document index can detect the
+    # journal the element so the cached document index can detect the
     # edit instead of silently answering against the old tree.
 
     def _touch(self) -> None:
-        self.mutation_version = _bump_mutations()
+        _record(self)
 
     def append_child(self, child: "Element") -> None:
         """Append a child element (element content only)."""
@@ -258,9 +287,6 @@ class Document:
     """
 
     root: Element
-    #: global-mutation-clock value at the last document-level mutation
-    #: (``replace_root``); element edits stamp the elements themselves
-    mutation_version: int = field(default=0, init=False, repr=False)
     #: on a query answer: how many top-level picks each input document
     #: contributed, in input order (the answer's children are exactly
     #: those picks, concatenated); ``None`` on anything else
@@ -269,9 +295,9 @@ class Document:
     )
 
     def replace_root(self, root: Element) -> None:
-        """Swap the root element (a document-level, version-stamped edit)."""
+        """Swap the root element (a document-level, journaled edit)."""
         self.root = root
-        self.mutation_version = _bump_mutations()
+        _record(self)
 
     @property
     def root_type(self) -> str:

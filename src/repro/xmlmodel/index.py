@@ -20,6 +20,11 @@ Indexes are cached per document object (weakly, so dropping a document
 drops its index) and the cache registers with the
 :mod:`repro.obs.registry`: ``clear_caches()`` empties it and
 ``kernel_stats()`` reports its hit/miss/size counters.
+
+A cached index is revalidated from the mutation journal of
+:mod:`repro.xmlmodel.element`: the edits made since the index was last
+validated are checked against an ``id(element) -> position`` map of
+the indexed elements, so the check costs O(edits), not O(document).
 """
 
 from __future__ import annotations
@@ -27,12 +32,9 @@ from __future__ import annotations
 import threading
 import weakref
 from bisect import bisect_left
-from operator import attrgetter
 
 from ..obs import registry
-from .element import Document, Element, mutation_stamp
-
-_VERSION_OF = attrgetter("mutation_version")
+from .element import Document, Element, mutation_stamp, touched_since
 
 
 class DocumentIndex:
@@ -48,7 +50,8 @@ class DocumentIndex:
 
     The index reflects the document at build time; documents served by
     a :class:`~repro.mediator.source.Source` are immutable in practice,
-    which is what makes caching sound.
+    which is what makes caching sound.  ``stamp`` is the mutation
+    clock at which the index was last known to be exact.
     """
 
     __slots__ = (
@@ -60,10 +63,16 @@ class DocumentIndex:
         "by_label",
         "_label_sets",
         "stamp",
+        "_document_id",
+        "_positions",
     )
 
     def __init__(self, document: Document) -> None:
         self.stamp = mutation_stamp()
+        # Compared only while the document is alive: its callers (the
+        # index cache, a matview entry) hold it.
+        self._document_id = id(document)
+        self._positions: dict[int, int] | None = None
         order: list[Element] = []
         parent: list[int] = []
         depth: list[int] = []
@@ -118,9 +127,34 @@ class DocumentIndex:
         """The :class:`Element` at a position (here: the indexed object)."""
         return self.order[pos]
 
+    def changed_since(self, stamp: int) -> list[int] | None:
+        """Positions of the indexed elements edited after ``stamp``.
+
+        ``None`` when the index must be rebuilt: the document's root
+        was replaced, or the journal no longer reaches back to
+        ``stamp`` (unknown).  Elements added after the build hang off
+        an edited indexed parent (or a replaced root), so the journal
+        suffix checked against the indexed elements is complete.  The
+        ``id -> position`` map is built on the first question, so an
+        index that is never revalidated never pays for it.
+        """
+        touched = touched_since(stamp)
+        if touched is None:
+            return None
+        positions = self._positions
+        if positions is None:
+            positions = {id(el): pos for pos, el in enumerate(self.order)}
+            positions[self._document_id] = -1
+            self._positions = positions
+        changed = [
+            positions[key] for key in map(id, touched) if key in positions
+        ]
+        return None if -1 in changed else changed
+
     def fresh_at(self, stamp: int) -> bool:
-        """Whether no indexed element mutated after ``stamp``."""
-        return max(map(_VERSION_OF, self.order)) <= stamp
+        """Whether nothing indexed was edited after ``stamp`` (False
+        when the journal cannot tell)."""
+        return self.changed_since(stamp) == []
 
     def labelled(self, name: str) -> list[int]:
         """Positions of all elements named ``name``, document order."""
@@ -196,25 +230,11 @@ registry.register_cache(
 )
 
 
-def _index_is_fresh(document: Document, index: DocumentIndex) -> bool:
-    """Whether a cached index still reflects its document.
-
-    An index built at mutation stamp ``s`` is stale iff the document
-    (``replace_root``) or any element *it indexed* mutated after ``s``.
-    Elements added after the build necessarily hang off a mutated
-    indexed parent (or a replaced root), so scanning ``index.order``
-    plus the document stamp is complete.
-    """
-    if document.mutation_version > index.stamp:
-        return False
-    return index.fresh_at(index.stamp)
-
-
 def _structure_intact(index: DocumentIndex, mutated: list[int]) -> bool:
     """Whether the mutated elements kept their indexed child lists.
 
     Every structural edit (``append_child`` / ``insert_child`` /
-    ``remove_child`` / ``set_content``) stamps the parent whose child
+    ``remove_child`` / ``set_content``) journals the parent whose child
     list changed, and element names are immutable -- so if each
     mutated element's current children are identity-equal to the
     positions the index recorded, only *content* changed
@@ -240,6 +260,25 @@ def _structure_intact(index: DocumentIndex, mutated: list[int]) -> bool:
     return True
 
 
+def _revalidate(index: DocumentIndex, stamp: int) -> str:
+    """What a cached index needs at clock ``stamp``, without changing it.
+
+    ``hit`` (the clock has not moved since ``index.stamp``), ``rearm``
+    (it moved, but nothing indexed was edited), ``content-rearm``
+    (only content was edited: the structural arrays are still exact)
+    or ``rebuild`` (a structural edit, a replaced root, or a journal
+    that no longer reaches back to ``index.stamp``).
+    """
+    if stamp == index.stamp:
+        return "hit"
+    changed = index.changed_since(index.stamp)
+    if changed is None:
+        return "rebuild"
+    if not changed:
+        return "rearm"
+    return "content-rearm" if _structure_intact(index, changed) else "rebuild"
+
+
 def document_index(document: Document) -> DocumentIndex:
     """The (cached, mutation-validated) index of a document.
 
@@ -247,12 +286,13 @@ def document_index(document: Document) -> DocumentIndex:
     document is a dict probe, and dropped documents free their index.
     A hit is validated against the global mutation clock -- O(1) when
     nothing in the process mutated since the build (the overwhelmingly
-    common case); one scan re-arms that fast path after unrelated
-    mutations.  An edit of this document invalidates and rebuilds
-    (counted as ``invalidations``) unless it was content-only
-    (``set_text`` / ``set_attribute``), in which case the structural
-    arrays are still exact and the index re-arms in place (counted as
-    ``content_rearms``).
+    common case).  Otherwise :func:`_revalidate` reads the journal
+    suffix since the index's stamp: edits elsewhere re-arm the fast
+    path at today's stamp, a content-only edit of this document
+    (``set_text`` / ``set_attribute``) re-arms in place (counted as
+    ``content_rearms``), and a structural edit, a replaced root or an
+    overflowed journal (unknown) rebuilds (counted as
+    ``invalidations``).
     """
     global _index_hits, _index_misses, _index_invalidations
     global _index_content_rearms
@@ -267,26 +307,14 @@ def document_index(document: Document) -> DocumentIndex:
         index = _INDEX_CACHE.get(document)
         if index is not None:
             stamp = mutation_stamp()
-            if stamp == index.stamp:
-                _index_hits += 1
-                return index
-            if _index_is_fresh(document, index):
-                # Mutations elsewhere in the process; this document is
-                # untouched.  Re-arm the O(1) fast path at today's stamp.
+            verdict = _revalidate(index, stamp)
+            if verdict != "rebuild":
                 index.stamp = stamp
-                _index_hits += 1
-                return index
-            if document.mutation_version <= index.stamp:
-                built = index.stamp
-                mutated = [
-                    pos
-                    for pos, el in enumerate(index.order)
-                    if el.mutation_version > built
-                ]
-                if _structure_intact(index, mutated):
-                    index.stamp = stamp
+                if verdict == "content-rearm":
                     _index_content_rearms += 1
-                    return index
+                else:
+                    _index_hits += 1
+                return index
             _index_invalidations += 1
         else:
             _index_misses += 1

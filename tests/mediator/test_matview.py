@@ -207,6 +207,23 @@ class TestDeltaMaintenance:
         assert maintained is not held
         assert serialize_document(held) == before
 
+    def test_edit_of_a_spliced_pick_in_the_served_master_is_detected(self):
+        # A delta swaps the dirty document's picks for fresh ones; the
+        # entry must watch those, not the picks they replaced.
+        mediator = federation()
+        mediator.materialize_union(VIEW)
+        document, publication = find_journal_pick(mediator)
+        publication.children[0].set_text("retitled")
+        served = mediator.materialize_union(VIEW)
+        assert mediator.last_cache_outcome == "delta"
+        spliced = next(
+            el for el in served.root.iter() if el.content == "retitled"
+        )
+        spliced.set_text("poisoned")
+        answer = mediator.materialize_union(VIEW)
+        assert mediator.last_cache_outcome == "miss"
+        assert "poisoned" not in serialize_document(answer)
+
     def test_two_dirty_documents_invalidate(self):
         mediator = federation(n_docs=3)
         mediator.materialize_union(VIEW)
@@ -262,8 +279,8 @@ class TestDeltaMaintenance:
         assert "landed mid-flight" in serialize_document(final)
 
     def test_detached_subtree_mutated_then_reattached(self):
-        # The cache's freshness scan walks the entry's *built* index,
-        # so an off-tree edit alone re-arms; the re-attach dirties the
+        # The cache checks the journal against the entry's *built*
+        # index, so an off-tree edit alone re-arms; the re-attach dirties the
         # parent and the maintained answer carries the edit.
         mediator = federation()
         mediator.materialize_union(VIEW)
@@ -281,6 +298,67 @@ class TestDeltaMaintenance:
         assert serialize_document(answer) == serialize_document(
             cold_answer(mediator)
         )
+
+
+class TestJournalSession:
+    def test_union_session_runs_past_the_journal(self):
+        # 32 contributing documents and one set_text before every 4th
+        # read, for more edits than the journal holds.  Each probe
+        # reads only the edits since the entry's stamp, so the session
+        # never overflows by itself; one burst of unrelated edits
+        # longer than the journal does, and costs one recompute.
+        from repro.xmlmodel.element import JOURNAL_SIZE
+
+        mediator = federation(n_sources=4, n_docs=8)
+        uncached = build_flaky_federation(
+            FakeClock(), plans=healthy_plans(4), n_sources=4, n_docs=8,
+            seed=7, cache=None,
+        )
+        for name, source in mediator.sources.items():
+            uncached.sources[name].documents = source.documents
+        documents = [
+            document
+            for source in mediator.sources.values()
+            for document in source.documents
+        ]
+        assert len(documents) == 32
+        leaves = [
+            element
+            for document in documents
+            for element in document.root.iter()
+            if element.is_pcdata
+        ]
+        dtd = mediator.union_views[VIEW].dtd
+        noise = text_elem("noise", "")
+        edits = JOURNAL_SIZE + 64
+        checked = mediator.materialize_union(VIEW)
+        assert validate_document(checked, dtd).ok
+        for period in range(edits):
+            leaves[period * 7919 % len(leaves)].set_text(f"edit {period}")
+            expected = uncached.materialize_union(VIEW)
+            for read in range(4):
+                if period == edits // 2 and read == 2:
+                    for i in range(JOURNAL_SIZE + 1):
+                        noise.set_text(str(i))
+                answer = mediator.materialize_union(VIEW)
+                assert mediator.last_cache_outcome == (
+                    "delta" if read == 0
+                    else "miss" if period == edits // 2 and read == 2
+                    else "hit"
+                )
+                assert (answer is checked) == (
+                    mediator.last_cache_outcome == "hit"
+                )
+                # a hit serves the master checked at this period's delta
+                if answer is not checked:
+                    assert answer.root.structurally_equal(expected.root)
+                    assert validate_document(answer, dtd).ok
+                    checked = answer
+        info = mediator.matview.info()
+        assert info["deltas"] == edits
+        assert info["stale_delta_fallbacks"] == 0
+        assert info["recomputes"] == 2  # the cold read and the overflow
+        assert info["hits"] == 3 * edits - 1
 
 
 class TestBypassAndPolicy:

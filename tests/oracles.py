@@ -13,7 +13,12 @@ independent formulations the property tests compare it against:
 * :func:`matches_by_derivatives` -- regular-language membership by
   iterated Brzozowski derivatives, against the Glushkov/DFA path of
   :func:`repro.regex.matches`: two engines built from different theory
-  are unlikely to share a bug.
+  are unlikely to share a bug;
+* :func:`index_verdict`, :func:`answer_intact` and :func:`matview_peek`
+  -- freshness by scanning every element's last-edit stamp (what the
+  per-element ``mutation_version`` fields held), against the bounded
+  mutation journal of :mod:`repro.xmlmodel.element`.  The stamps come
+  from :func:`recording_versions`, which journals nothing itself.
 
 The compiled engine's oracle, full binding enumeration, stays in the
 library (:func:`repro.xmas.legacy_picked_elements`): the engine still
@@ -22,8 +27,9 @@ falls back to it for plans it cannot project.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.dtd import Pcdata, SpecializedDtd, TaggedName
 from repro.inference.collapse import (
@@ -50,6 +56,8 @@ from repro.regex.ast import (
 )
 from repro.regex.dfa import product
 from repro.regex.language import _aligned
+from repro.xmlmodel import element as _element
+from repro.xmlmodel.index import _structure_intact
 
 
 @lru_cache(maxsize=None)
@@ -158,3 +166,114 @@ def matches_by_derivatives(regex: Regex, word: Sequence[Sym]) -> bool:
         if isinstance(current, Empty):
             return False
     return nullable(current)
+
+
+# ---------------------------------------------------------------------------
+# freshness by per-element scans
+# ---------------------------------------------------------------------------
+
+#: the stamp of an object's last journaled edit (0 = never edited)
+Version = Callable[[object], int]
+
+
+@contextmanager
+def recording_versions() -> Iterator[Version]:
+    """Record every journaled edit's stamp per object, without bound.
+
+    Wraps the journal's recorder for the duration; the yielded
+    function plays the deleted ``mutation_version`` fields.  Edited
+    objects are kept alive so their ids stay theirs.
+    """
+    last: dict[int, int] = {}
+    alive: list[object] = []
+    record = _element._record
+
+    def recording(obj: object) -> None:
+        record(obj)
+        last[id(obj)] = _element.mutation_stamp()
+        alive.append(obj)
+
+    _element._record = recording
+    try:
+        yield lambda obj: last.get(id(obj), 0)
+    finally:
+        _element._record = record
+
+
+def index_fresh_at(index, stamp: int, version: Version) -> bool:
+    """``DocumentIndex.fresh_at`` as a scan of every indexed element."""
+    return max(map(version, index.order)) <= stamp
+
+
+def index_is_fresh(document, index, version: Version) -> bool:
+    """``repro.xmlmodel.index._index_is_fresh``: root and every element."""
+    if version(document) > index.stamp:
+        return False
+    return index_fresh_at(index, index.stamp, version)
+
+
+def index_verdict(document, index, stamp: int, version: Version) -> str:
+    """``repro.xmlmodel.index._revalidate`` by scans: ``hit``,
+    ``rearm``, ``content-rearm`` or ``rebuild``."""
+    if stamp == index.stamp:
+        return "hit"
+    if index_is_fresh(document, index, version):
+        return "rearm"
+    if version(document) <= index.stamp:
+        built = index.stamp
+        mutated = [
+            pos
+            for pos, el in enumerate(index.order)
+            if version(el) > built
+        ]
+        if _structure_intact(index, mutated):
+            return "content-rearm"
+    return "rebuild"
+
+
+def answer_intact(entry, version: Version) -> bool:
+    """``_Entry.answer_intact`` as a walk over every master element."""
+    stamp = entry.stamp
+    if (
+        version(entry.answer) > stamp
+        or version(entry.answer.root) > stamp
+    ):
+        return False
+    for el in entry.answer.root.iter():
+        if version(el) > stamp:
+            return False
+    return True
+
+
+def doc_fresh_at(state, stamp: int, version: Version) -> bool:
+    """A contributing document's freshness, for an in-memory index."""
+    if version(state.document) > stamp:
+        return False
+    return index_fresh_at(state.index, stamp, version)
+
+
+def matview_peek(cache, key, version: Version) -> str:
+    """``MatViewCache.peek`` with every freshness question scanned."""
+    entry = cache._entries.get(key)
+    if entry is None:
+        return "cold"
+    if not cache._docs_unchanged(entry):
+        return "recompute"
+    if _element.mutation_stamp() == entry.stamp:
+        return "hit"
+    if not answer_intact(entry, version):
+        return "recompute"
+    dirty = [
+        state
+        for state in entry.docs
+        if not doc_fresh_at(state, entry.stamp, version)
+    ]
+    if not dirty:
+        return "hit"
+    if (
+        entry.spliceable
+        and len(dirty) == 1
+        and entry.legs[dirty[0].leg].delta_query is not None
+    ):
+        return "delta"
+    return "recompute"

@@ -123,7 +123,7 @@ class TestStampValidation:
         other = small_document()
         index = document_index(document)
         # Mutating a *different* tree moves the global clock but must
-        # not invalidate this document's index: one validating scan
+        # not invalidate this document's index: one journal check
         # re-arms the O(1) fast path at the new stamp.
         other.root.append_child(publication("noise"))
         assert document_index(document) is index
@@ -179,7 +179,7 @@ class TestMutationClockEdgeCases:
         # Detach a publication, re-index, then mutate the *detached*
         # subtree.  The clock moves, but no indexed element did: the
         # detached tree is not part of the document, so one validating
-        # scan re-arms the same index object.
+        # journal check re-arms the same index object.
         document = small_document()
         detached = document.root.children[1]
         document.root.remove_child(detached)
