@@ -3,9 +3,9 @@
 
 Drives the materialized-view cache through the two front ends:
 
-1. **CLI** — ``repro ask --stats`` must report the matview section
-   (the single cold query is a counted miss + store), and
-   ``--no-cache`` must run clean without it.
+1. **CLI** — ``repro ask --stats`` answers the view without a
+   matview section: the cache holds union views only, so an ad-hoc
+   query never touches it.
 2. **Serve** — a cached server session over a real socket: the first
    union misses, the repeat hits, ``cache=False`` bypasses (SRV008)
    without evicting, and an edit to a source document is served by
@@ -19,7 +19,6 @@ Exit status: 0 when every check passes, 1 otherwise.  Wired into
 from __future__ import annotations
 
 import contextlib
-import gc
 import io
 import random
 import sys
@@ -102,17 +101,7 @@ def smoke_cli(tmp: Path) -> None:
     status, out, err = run_ask(tmp, "--stats")
     check("ask --stats exit 0", status == 0)
     check("ask answers the view", "<journals>" in out and "<title>" in out)
-    check("ask --stats reports the matview section", "matview cache:" in err)
-    # The dead mediator's cache must not linger in the kernel stats.
-    gc.collect()
-    clear_caches()
-    status, out, err = run_ask(tmp, "--no-cache", "--stats")
-    check("ask --no-cache exit 0", status == 0)
-    check("ask --no-cache answers the view", "<journals>" in out)
-    check(
-        "ask --no-cache omits the matview section",
-        "matview cache:" not in err,
-    )
+    check("ask --stats omits the matview section", "matview cache:" not in err)
 
 
 def smoke_serve() -> None:

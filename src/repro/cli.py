@@ -86,7 +86,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_ask(args: argparse.Namespace) -> int:
     """Answer a client query through a mediated view (the Figure 1 path)."""
     from .mediator import (
-        MatViewPolicy,
         Mediator,
         RetryPolicy,
         Source,
@@ -104,8 +103,7 @@ def _cmd_ask(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         retry=RetryPolicy(attempts=max(1, args.retries + 1)),
     )
-    cache = None if args.no_cache else MatViewPolicy()
-    mediator = Mediator("cli", policy=policy, cache=cache)
+    mediator = Mediator("cli", policy=policy)
     source = Source("source", dtd, documents, validate=not args.no_validate)
     mediator.add_source(source)
     source.warm_indexes()
@@ -127,10 +125,6 @@ def _cmd_ask(args: argparse.Namespace) -> int:
         )
     if getattr(args, "stats", False):
         print(render_health(mediator.health()), file=sys.stderr)
-        # The kernel registry holds the matview cache only weakly;
-        # keep the mediator alive until main()'s kernel-stats print so
-        # the cache's counters still aggregate into the report.
-        args.stats_anchor = mediator
     return 0
 
 
@@ -574,15 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
             " annotated partial answer"
         ),
     )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help=(
-            "run without the materialized-view answer cache (a single"
-            " cold query never hits it, but --stats then omits its"
-            " counters entirely)"
-        ),
-    )
     add_stats_option(p)
     add_trace_option(p)
     p.set_defaults(func=_cmd_ask)
@@ -835,7 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-cache",
         action="store_true",
-        help="serve without the shared materialized-view answer cache",
+        help="serve without the materialized-view answer cache",
     )
     p.add_argument(
         "--cache-bytes",

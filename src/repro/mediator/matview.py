@@ -1,18 +1,22 @@
 """Materialized-view answer cache with provenance-based maintenance.
 
 The mediator of the paper is *on-demand*: every ``materialize_union``
-or ``query_view`` call fans out to the sources and re-evaluates, even
-when nothing changed.  Two earlier pieces make materialization sound:
+call fans out to the sources and re-evaluates, even when nothing
+changed.  Two earlier pieces make materialization sound:
 
 * the inferred view DTD says what a valid answer looks like, and
 * the mutation journal (:mod:`repro.xmlmodel.element`) records every
   document edit under a global stamp, so "nothing changed" is an O(1)
   question and "what changed?" costs O(edits since).
 
-A :class:`MatViewCache` keeps validated answers keyed by (kind, view
-name, compiled-plan signature).  Each entry carries the stamp at which
-it was last validated, and a probe revalidates it with the same
-fast-path/re-arm discipline as
+A mediator's :class:`MatViewCache` keeps the validated answers of that
+mediator's own union views, keyed by view name and the branches'
+compiled-plan signatures.  It is never shared: the key does not name
+the federation, and an entry is checked against the sources of the
+mediator that stored it, so a second mediator would be served the
+first one's answer.  Ad-hoc ``query_view`` answers are not cached.
+Each entry carries the stamp at which it was last validated, and a
+probe revalidates it with the same fast-path/re-arm discipline as
 :func:`repro.xmlmodel.index.document_index`:
 
 1. **O(1) fast path** -- the global clock has not moved since the
@@ -23,9 +27,10 @@ fast-path/re-arm discipline as
 3. **Delta maintenance** -- exactly one contributing document was
    edited and the entry knows which slice of the answer that document
    produced (the answer's ``pick_counts``: how many picks each
-   document contributed): re-run the query over that one document,
-   splice the fresh picks into the materialized answer, re-validate
-   the spliced answer against the inferred view DTD, re-stamp.
+   document contributed): re-run that source's union branch over
+   that one document, splice the fresh picks into the materialized
+   answer, re-validate the spliced answer against the inferred view
+   DTD, re-stamp.
    Validation failure (``MED007``) falls back to a full recompute.
 4. **Invalidate** -- anything else (several dirty documents, changed
    document lists, no pick counts, or a journal that no longer reaches
@@ -66,7 +71,7 @@ mediator's own reference to the dirty document, never through the
 source transport -- no retries, no latency, deterministic under
 ``FakeClock``.
 
-See docs/PERFORMANCE.md (caching section) and ``ISSUE`` PR 8.
+See docs/PERFORMANCE.md (caching section).
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
 from ..errors import STALE_DELTA_FALLBACK
@@ -145,18 +150,16 @@ def query_signature(query: Query) -> tuple:
 
 @dataclass(frozen=True)
 class CacheLeg:
-    """One source's contribution to a cached view.
+    """One source's contribution to a cached union view.
 
-    ``delta_query`` is a query that, evaluated over a *single* source
-    document, yields exactly that document's contribution to the
-    answer (a union branch's query, or a composed source query).
-    ``None`` marks the leg recompute-only: mutations under it always
-    invalidate.
+    ``delta_query`` is the source's union branch: evaluated over a
+    *single* source document, it yields exactly that document's
+    contribution to the answer.
     """
 
     source_name: str
     source: "Source"
-    delta_query: Query | None
+    delta_query: Query
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +221,7 @@ class _Entry:
         self,
         key: tuple,
         view_name: str,
-        dtd: Optional["Dtd"],
+        dtd: "Dtd",
         answer: Document,
         legs: tuple[CacheLeg, ...],
         leg_docs: tuple[tuple[Document, ...], ...],
@@ -236,7 +239,7 @@ class _Entry:
         # them, so none is reused while the entry checks it.  New
         # elements can only appear under an edited (hence journaled,
         # hence caught) parent.
-        self.elem_ids = {id(el) for el in answer.root.iter()}
+        self.elem_ids, self.bytes = _walk_subtrees([answer.root])
         self.elem_ids.add(id(answer))
         # The answer as the wire needs it, built on first request:
         # each pick's serialized text as a JSON string body (escaping
@@ -244,7 +247,6 @@ class _Entry:
         # the assembled document as a JSON string literal.
         self.fragments: list[str] | None = None
         self.payload: bytes | None = None
-        self.bytes = estimate_bytes(answer)
         # the clock at which the entry was last validated
         self.stamp = stamp
         self.legs = legs
@@ -261,21 +263,10 @@ class _Entry:
         ids = self.elem_ids
         return not any(id(obj) in ids for obj in touched)
 
-    def provenance(self) -> list[tuple[str, int, tuple[int, int]]]:
-        """Per contributing document: (source, picks, answer slice)."""
-        return [
-            (
-                self.legs[state.leg].source_name,
-                max(0, state.stop - state.start),
-                (state.start, state.stop),
-            )
-            for state in self.docs
-        ]
-
 
 def estimate_bytes(document: Document) -> int:
     """A cheap, deterministic answer-size estimate for the byte budget."""
-    return _estimate_subtrees([document.root])
+    return _walk_subtrees([document.root])[1]
 
 
 def _json_body(text: str) -> str:
@@ -291,22 +282,25 @@ def _render_picks(picks) -> list[str]:
     ]
 
 
-def _estimate_subtrees(elements) -> int:
-    """:func:`estimate_bytes` over a slice of pick subtrees.
+def _walk_subtrees(elements) -> tuple[set[int], int]:
+    """The element ids of some subtrees and their :func:`estimate_bytes`,
+    in one walk.
 
-    Lets delta maintenance adjust an entry's byte estimate by walking
-    only the swapped picks instead of the whole answer.
+    Lets delta maintenance update an entry's id set and byte estimate
+    by walking only the swapped picks instead of the whole answer.
     """
+    ids: set[int] = set()
     total = 0
     for root in elements:
         for element in root.iter():
+            ids.add(id(element))
             total += 56 + len(element.name)
             if isinstance(element.content, str):
                 total += len(element.content)
-    return total
+    return ids, total
 
 
-@dataclass
+@dataclass(frozen=True)
 class _MissToken:
     """Handed out on a miss; redeemed by :meth:`MatViewCache.store`.
 
@@ -317,7 +311,7 @@ class _MissToken:
 
     key: tuple
     view_name: str
-    dtd: Optional["Dtd"]
+    dtd: "Dtd"
     legs: tuple[CacheLeg, ...]
     stamp: int
 
@@ -354,7 +348,7 @@ _COUNTERS = (
 
 
 class MatViewCache:
-    """A thread-safe LRU answer cache for one (or several) mediators."""
+    """A thread-safe LRU cache of one mediator's union-view answers."""
 
     def __init__(self, policy: MatViewPolicy | None = None) -> None:
         self.policy = policy or MatViewPolicy()
@@ -371,14 +365,6 @@ class MatViewCache:
             info["entries"] = len(self._entries)
             info["bytes"] = self._bytes
             return info
-
-    def provenance(
-        self, key: tuple
-    ) -> list[tuple[str, int, tuple[int, int]]] | None:
-        """The per-document provenance of a cached answer (or None)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry.provenance() if entry is not None else None
 
     def clear(self) -> None:
         with self._lock:
@@ -466,15 +452,11 @@ class MatViewCache:
         ]
         if not dirty:
             return "rearm-hit", None
-        if (
-            entry.spliceable
-            and len(dirty) == 1
-            and entry.legs[dirty[0].leg].delta_query is not None
-        ):
+        if entry.spliceable and len(dirty) == 1:
             return "delta", dirty[0]
         return "stale", None
 
-    def peek(self, key: tuple, legs: Sequence[CacheLeg]) -> str:
+    def peek(self, key: tuple) -> str:
         """Non-mutating classification for ``explain()``.
 
         Returns ``"hit"``, ``"delta"``, ``"recompute"``, or ``"cold"``.
@@ -494,7 +476,7 @@ class MatViewCache:
         self,
         key: tuple,
         view_name: str,
-        dtd: Optional["Dtd"],
+        dtd: "Dtd",
         legs: Sequence[CacheLeg],
     ) -> CacheOutcome:
         """Look up (and, when possible, delta-maintain) a cached answer.
@@ -549,7 +531,7 @@ class MatViewCache:
         self,
         key: tuple,
         view_name: str,
-        dtd: Optional["Dtd"],
+        dtd: "Dtd",
         legs: tuple[CacheLeg, ...],
         reason: str,
     ) -> CacheOutcome:
@@ -610,7 +592,6 @@ class MatViewCache:
         from ..xmlmodel import Element, fresh_id
 
         leg = entry.legs[dirty.leg]
-        assert leg.delta_query is not None
         with obs.span("matview.delta") as sp:
             sp.set_attribute("view", entry.view_name)
             sp.set_attribute("source", leg.source_name)
@@ -636,26 +617,23 @@ class MatViewCache:
                         state.stop += shift
             sp.set_attribute("spliced_elements", len(new_children))
             sp.set_attribute("shift", shift)
-            if entry.dtd is not None:
-                if not self._splice_validates(
-                    maintained.root, new_children, entry.dtd
-                ):
-                    sp.add_event(
-                        "stale_delta_fallback",
-                        code=STALE_DELTA_FALLBACK,
-                    )
-                    self._drop(entry.key)
-                    return None
+            if not self._splice_validates(
+                maintained.root, new_children, entry.dtd
+            ):
+                sp.add_event(
+                    "stale_delta_fallback", code=STALE_DELTA_FALLBACK
+                )
+                self._drop(entry.key)
+                return None
             dirty.index = document_index(dirty.document)
-            ids = entry.elem_ids
-            ids.difference_update(
-                id(el) for pick in old[start:stop] for el in pick.iter()
+            old_ids, old_bytes = _walk_subtrees(old[start:stop])
+            new_ids, new_bytes = _walk_subtrees(new_children)
+            entry.elem_ids.difference_update(
+                old_ids, (id(entry.answer), id(entry.answer.root))
             )
-            ids.difference_update((id(entry.answer), id(entry.answer.root)))
-            ids.update(
-                id(el) for pick in new_children for el in pick.iter()
+            entry.elem_ids.update(
+                new_ids, (id(maintained), id(maintained.root))
             )
-            ids.update((id(maintained), id(maintained.root)))
             entry.answer = maintained
             encoded = 0
             if entry.fragments is not None:
@@ -670,11 +648,7 @@ class MatViewCache:
                 entry.payload = None
             entry.stamp = stamp
             self._bytes -= entry.bytes
-            entry.bytes += (
-                _estimate_subtrees(new_children)
-                - _estimate_subtrees(old[start:stop])
-                + encoded
-            )
+            entry.bytes += new_bytes - old_bytes + encoded
             self._bytes += entry.bytes
             sp.set_attribute("bytes", entry.bytes)
         self._evict()

@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import threading
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .. import obs
@@ -100,8 +99,9 @@ class QueryPlan:
     #: the rendered planning trace (``repro.obs`` span tree; empty when
     #: tracing was disabled and ``explain`` could not install a tracer)
     trace_lines: list[str] = field(default_factory=list)
-    #: what the materialized-view cache would do with this request:
-    #: "off" (no cache), "cold", "hit", "delta", "recompute"
+    #: what the materialized-view cache would do with a union
+    #: materialization: "off" (no cache, or an ad-hoc query), "cold",
+    #: "hit", "delta", "recompute"
     cache_status: str = "off"
 
     def describe(self) -> str:
@@ -186,7 +186,7 @@ class Mediator:
         policy: TransportPolicy | None = None,
         clock: Clock | None = None,
         fanout: FanoutPolicy | None = None,
-        cache: MatViewPolicy | MatViewCache | None = None,
+        cache: MatViewPolicy | None = None,
     ) -> None:
         self.name = name
         self.mode = mode
@@ -197,16 +197,16 @@ class Mediator:
         #: the union fan-out (``fanout=None`` runs legs inline, see
         #: :data:`~repro.mediator.parallel.INLINE`)
         self.parallel = ParallelTransport(self.clock, fanout)
-        #: the materialized-view answer cache (None = uncached, the
-        #: classic re-evaluate-everything mediator); accepts a policy
-        #: (private cache) or a ready MatViewCache (shared warm cache)
-        self.matview: MatViewCache | None = None
-        if cache is not None:
-            self.matview = (
-                cache
-                if isinstance(cache, MatViewCache)
-                else MatViewCache(cache)
+        #: this mediator's own union-view answer cache (None = uncached,
+        #: the classic re-evaluate-everything mediator).  Never shared:
+        #: an entry is checked against the legs of the mediator that
+        #: stored it, so another federation would be served its answer.
+        if cache is not None and not isinstance(cache, MatViewPolicy):
+            raise TypeError(
+                "Mediator(cache=) takes a MatViewPolicy or None, not "
+                f"{type(cache).__name__}"
             )
+        self.matview = None if cache is None else MatViewCache(cache)
         self.sources: dict[str, Source] = {}
         self.transports: dict[str, SourceTransport] = {}
         self.views: dict[str, ViewRegistration] = {}
@@ -234,7 +234,8 @@ class Mediator:
     @property
     def last_cache_outcome(self) -> str:
         """The matview cache's verdict on this thread's last answer:
-        ``"off"`` (no cache configured), ``"bypass"`` (request opted
+        ``"off"`` (no cache configured, or an ad-hoc
+        :meth:`query_view` answer), ``"bypass"`` (request opted
         out, MED006), ``"hit"``, ``"delta"``, or ``"miss"``."""
         return getattr(self._tls, "cache_outcome", "off")
 
@@ -374,7 +375,6 @@ class Mediator:
         strategy: str = "auto",
         deadline: Deadline | None = None,
         degrade: bool = True,
-        cache: bool = True,
     ) -> Document:
         """Answer a query posed against a mediated view.
 
@@ -399,23 +399,17 @@ class Mediator:
         records the skipped source; ``degrade=False`` propagates the
         :class:`SourceTimeout` / :class:`SourceUnavailable` instead
         (docs/RELIABILITY.md).
+
+        Ad-hoc answers are never cached (``last_cache_outcome`` is
+        ``"off"``): the matview cache holds union views only.
         """
         if strategy not in ("auto", "compose", "materialize"):
             raise MediatorError(f"unknown strategy {strategy!r}")
         registration = self._view(view_name)
         self.stats.queries += 1
         self.last_degradation = None
+        self.last_cache_outcome = "off"
         effective = query
-        cached, token = self._cache_step(
-            cache,
-            lambda: self._query_cache_entry(
-                query, view_name, use_simplifier, strategy
-            ),
-            view_name,
-            None,
-        )
-        if cached is not None:
-            return cached
         with obs.span("mediator.query_view") as sp:
             sp.set_attribute("view", view_name)
             if use_simplifier:
@@ -450,38 +444,16 @@ class Mediator:
                     if composed is not None:
                         self.stats.composed += 1
                         sp.set_attribute("outcome", "composed")
-                        answer = self._call_source(
+                        return self._call_source(
                             registration.source_name, composed, deadline
                         )
-                        if token is not None:
-                            # A composed source query re-runs cleanly
-                            # over a single document: delta-capable.
-                            assert self.matview is not None
-                            token.legs = (
-                                CacheLeg(
-                                    registration.source_name,
-                                    source,
-                                    composed,
-                                ),
-                            )
-                            self.matview.store(
-                                token, answer, [answer.pick_counts]
-                            )
-                        return answer
                     if strategy == "compose":
                         raise MediatorError(
                             "query is not composable with the view definition"
                         )
                 sp.set_attribute("outcome", "materialized")
                 materialized = self.materialize(view_name, deadline)
-                answer = evaluate_many(effective, [materialized])
-                if token is not None:
-                    # The answer's pick counts describe the transient
-                    # materialized view, not the source documents, so
-                    # this entry is recompute-only.
-                    assert self.matview is not None
-                    self.matview.store(token, answer, [None])
-                return answer
+                return evaluate_many(effective, [materialized])
             except (SourceTimeout, SourceUnavailable) as error:
                 if not degrade:
                     raise
@@ -494,55 +466,6 @@ class Mediator:
                 return self._degraded_empty_answer(
                     query.view_name, registration.source_name, error
                 )
-
-    def _cache_step(
-        self,
-        cache: bool,
-        entry: Callable[[], CacheEntry],
-        view_name: str,
-        dtd: Dtd | None,
-    ) -> tuple:
-        """The matview cache step both answering paths share.
-
-        Records this thread's :attr:`last_cache_outcome` and returns
-        ``(answer, token)``: a cached answer to return as is, or the
-        token a fresh answer is stored under (None = do not store).
-        ``entry`` builds the request's ``(key, legs)`` and is called
-        only when the cache is probed.
-        """
-        mv = self.matview
-        answer = token = None
-        if mv is None:
-            outcome = "off"
-        elif not cache:
-            mv.note_bypass()
-            outcome = "bypass"
-        else:
-            key, legs = entry()
-            probe = mv.probe(key, view_name, dtd, legs)
-            answer, token = probe.answer, probe.token
-            outcome = probe.status if answer is not None else "miss"
-        self.last_cache_outcome = outcome
-        return answer, token
-
-    def _query_cache_entry(
-        self,
-        query: Query,
-        view_name: str,
-        use_simplifier: bool = True,
-        strategy: str = "auto",
-    ) -> CacheEntry:
-        """The matview ``(key, legs)`` of a query against a view; the
-        defaults are :meth:`query_view`'s, which :meth:`explain` plans."""
-        source_name = self._view(view_name).source_name
-        key = (
-            "query",
-            view_name,
-            query_signature(query),
-            use_simplifier,
-            strategy,
-        )
-        return key, (CacheLeg(source_name, self.sources[source_name], None),)
 
     def _degraded_empty_answer(
         self, answer_name: str, source_name: str, error: MediatorError
@@ -627,11 +550,6 @@ class Mediator:
         else:
             strategy = "materialize"
         transport = self.transports.get(registration.source_name)
-        cache_status = "off"
-        if self.matview is not None:
-            cache_status = self.matview.peek(
-                *self._query_cache_entry(query, view_name)
-            )
         return QueryPlan(
             view_name=view_name,
             classification=decision.classification,
@@ -640,7 +558,6 @@ class Mediator:
             composed_query=composed,
             effective_query=decision.query,
             source_health=[transport.health()] if transport else [],
-            cache_status=cache_status,
         )
 
     def explain_union(self, view_name: str) -> "QueryPlan":
@@ -657,9 +574,8 @@ class Mediator:
         def build() -> QueryPlan:
             cache_status = "off"
             if self.matview is not None:
-                cache_status = self.matview.peek(
-                    *self._union_cache_entry(registration)
-                )
+                key, _ = self._union_cache_entry(registration)
+                cache_status = self.matview.peek(key)
             return QueryPlan(
                 view_name=view_name,
                 classification=None,
@@ -766,7 +682,7 @@ class Mediator:
         (the soundness argument is spelled out in
         docs/RELIABILITY.md).
 
-        With a configured :class:`MatViewCache` (``Mediator(cache=...)``),
+        With a cache (``Mediator(cache=MatViewPolicy())``),
         repeat materializations of an unchanged federation are served
         from the cache without touching any source, and a mutation
         localized to one source document is delta-spliced instead of
@@ -776,14 +692,20 @@ class Mediator:
         """
         registration = self._union_view(view_name)
         self.last_degradation = None
-        cached, token = self._cache_step(
-            cache,
-            lambda: self._union_cache_entry(registration),
-            view_name,
-            registration.dtd,
-        )
-        if cached is not None:
-            return cached
+        mv = self.matview
+        token = None
+        if mv is None:
+            self.last_cache_outcome = "off"
+        elif not cache:
+            mv.note_bypass()
+            self.last_cache_outcome = "bypass"
+        else:
+            key, legs = self._union_cache_entry(registration)
+            probe = mv.probe(key, view_name, registration.dtd, legs)
+            self.last_cache_outcome = probe.status
+            if probe.answer is not None:
+                return probe.answer
+            token = probe.token
         report = DegradationReport(view_name=view_name)
         picks: list = []
         first_error: MediatorError | None = None
@@ -842,8 +764,8 @@ class Mediator:
                     self.stats.degraded_answers += 1
                 self.last_degradation = report
             if token is not None and not report.skipped:
-                assert self.matview is not None
-                self.matview.store(
+                assert mv is not None
+                mv.store(
                     token,
                     document,
                     [result.answer.pick_counts for result in results],

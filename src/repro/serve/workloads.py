@@ -28,7 +28,6 @@ from ..dtd import generate_document
 from ..mediator import (
     FanoutPolicy,
     FaultPlan,
-    MatViewCache,
     MatViewPolicy,
     Mediator,
     Source,
@@ -61,7 +60,7 @@ def build_paper_federation(
     seed: int = 7,
     policy: TransportPolicy | None = None,
     fanout: FanoutPolicy | None = None,
-    cache: MatViewPolicy | MatViewCache | None = None,
+    cache: MatViewPolicy | None = None,
     store_path: str | None = None,
 ) -> Mediator:
     """A healthy union federation over the paper's D1 schema.
@@ -116,7 +115,7 @@ def build_serve_workload(
     latency: float = 0.0,
     policy: TransportPolicy | None = None,
     fanout: FanoutPolicy | None = None,
-    cache: MatViewPolicy | MatViewCache | None = None,
+    cache: MatViewPolicy | None = None,
     shards: int = 0,
     store_path: str | None = None,
 ) -> Mediator:

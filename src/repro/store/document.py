@@ -23,7 +23,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from ..errors import StoreStaleError
-from ..xmlmodel.element import Document, Element, mutation_stamp
+from ..xmlmodel.element import Document, Element
 
 if TYPE_CHECKING:
     from .store import DocumentStore
@@ -83,7 +83,6 @@ class StoredDocumentIndex:
         "n",
         "root_name",
         "generation",
-        "stamp",
         "parent",
         "end",
         "depth",
@@ -108,7 +107,6 @@ class StoredDocumentIndex:
         self.n = n
         self.root_name = root_name
         self.generation = generation
-        self.stamp = mutation_stamp()
         self.parent, self.end, self.depth, self.names = store.structure(
             doc_id
         )

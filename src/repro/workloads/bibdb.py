@@ -22,7 +22,6 @@ if TYPE_CHECKING:
     from ..mediator import (
         Clock,
         FanoutPolicy,
-        MatViewCache,
         MatViewPolicy,
         Mediator,
         ShardedSource,
@@ -241,7 +240,7 @@ def union_federation(
     clock: "Clock | None" = None,
     policy: "TransportPolicy | None" = None,
     fanout: "FanoutPolicy | None" = None,
-    cache: "MatViewPolicy | MatViewCache | None" = None,
+    cache: "MatViewPolicy | None" = None,
 ) -> "Mediator":
     """A healthy union federation of bibliography sites.
 
@@ -370,7 +369,7 @@ def sharded_federation(
     clock: "Clock | None" = None,
     policy: "TransportPolicy | None" = None,
     fanout: "FanoutPolicy | None" = None,
-    cache: "MatViewPolicy | MatViewCache | None" = None,
+    cache: "MatViewPolicy | None" = None,
 ) -> "Mediator":
     """The :func:`union_federation` over sharded bibliography sites.
 

@@ -24,7 +24,6 @@ from ..mediator import (
     FanoutPolicy,
     FaultPlan,
     FaultySource,
-    MatViewCache,
     MatViewPolicy,
     Mediator,
     TransportPolicy,
@@ -108,7 +107,7 @@ def build_flaky_federation(
     view_name: str = "journals",
     seed: int = 7,
     fanout: FanoutPolicy | None = None,
-    cache: MatViewPolicy | MatViewCache | None = None,
+    cache: MatViewPolicy | None = None,
 ) -> Mediator:
     """A ready-to-query federation of :class:`FaultySource` sites.
 

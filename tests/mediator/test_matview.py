@@ -24,11 +24,14 @@ from repro.mediator import (
     MatViewCache,
     MatViewPolicy,
     Mediator,
-    Source,
 )
 from repro.mediator.matview import estimate_bytes
 from repro.obs import clear_caches, kernel_stats, render_stats
-from repro.workloads.flaky import build_flaky_federation, standard_fault_plans
+from repro.workloads.flaky import (
+    branch_query,
+    build_flaky_federation,
+    standard_fault_plans,
+)
 from repro.xmas import parse_query
 from repro.xmlmodel import elem, serialize_document, text_elem
 
@@ -389,6 +392,27 @@ class TestBypassAndPolicy:
         assert mediator.matview is None
         assert mediator.last_cache_outcome == "off"
 
+    def test_a_ready_cache_is_refused(self):
+        # Entries are checked against the sources of the mediator that
+        # stored them, so a shared cache would serve one federation
+        # another's answer.
+        with pytest.raises(TypeError):
+            Mediator("shared", cache=MatViewCache())
+
+    def test_query_view_answers_are_never_cached(self):
+        mediator = federation()
+        mediator.materialize_union(VIEW)
+        mediator.register_view(branch_query("site0", "pubs"), "site0")
+        client = parse_query("p = SELECT P WHERE <pubs> P:<publication/> </>")
+        before = mediator.matview.info()
+        for _ in range(2):
+            answer = mediator.query_view(client, "pubs")
+            assert answer.root.children
+            assert mediator.last_cache_outcome == "off"
+        assert mediator.matview.info() == before
+        mediator.materialize_union(VIEW)
+        assert mediator.last_cache_outcome == "hit"
+
 
 class TestDegradedAnswers:
     def test_degraded_answers_are_never_cached(self):
@@ -455,69 +479,6 @@ class TestEvictionAndBudget:
         assert mediator.last_cache_outcome == "miss"
 
 
-class TestQueryViewCaching:
-    @pytest.fixture
-    def mediator(self):
-        import random
-
-        from repro.dtd import generate_document
-        from repro.workloads import paper
-
-        rng = random.Random(77)
-        schema = paper.d1()
-        docs = [
-            generate_document(schema, rng, star_mean=1.8) for _ in range(3)
-        ]
-        med = Mediator("mix", cache=MatViewPolicy())
-        med.add_source(Source("dept", schema, docs, validate=False))
-        med.register_view(paper.q3(), "dept")
-        return med
-
-    CLIENT = (
-        "titles = SELECT T WHERE <publist> <publication> T:<title/> </> </>"
-    )
-
-    def test_composed_query_hits_then_deltas(self, mediator):
-        client = parse_query(self.CLIENT)
-        first = mediator.query_view(client, "publist")
-        assert mediator.last_cache_outcome == "miss"
-        assert mediator.stats.composed == 1
-        second = mediator.query_view(client, "publist")
-        assert mediator.last_cache_outcome == "hit"
-        assert mediator.stats.composed == 1  # no source call, no compose
-        assert serialize_document(second) == serialize_document(first)
-        # a localized edit delta-maintains through the composed query
-        document = mediator.sources["dept"].documents[0]
-        title = next(
-            el for el in document.root.iter() if el.name == "title"
-        )
-        title.set_text("rewritten")
-        third = mediator.query_view(client, "publist")
-        assert mediator.last_cache_outcome == "delta"
-        mediator.matview.clear()
-        assert serialize_document(third) == serialize_document(
-            mediator.query_view(client, "publist")
-        )
-
-    def test_materialized_strategy_is_cached_recompute_only(self, mediator):
-        client = parse_query(
-            "v = SELECT X WHERE X:<publist> <publication/> </>"
-        )
-        mediator.query_view(client, "publist")  # not composable
-        assert mediator.last_cache_outcome == "miss"
-        mediator.query_view(client, "publist")
-        assert mediator.last_cache_outcome == "hit"
-        # any source edit forces a recompute (no provenance)
-        document = mediator.sources["dept"].documents[0]
-        title = next(
-            el for el in document.root.iter() if el.name == "title"
-        )
-        title.set_text("rewritten")
-        mediator.query_view(client, "publist")
-        assert mediator.last_cache_outcome == "miss"
-        assert mediator.matview.info()["deltas"] == 0
-
-
 class TestExplain:
     def test_explain_union_reports_cache_status(self):
         mediator = federation()
@@ -530,25 +491,6 @@ class TestExplain:
         document, publication = find_journal_pick(mediator)
         publication.children[0].set_text("dirty")
         assert mediator.explain_union(VIEW).cache_status == "delta"
-
-    def test_explain_query_view_reports_cache_status(self):
-        import random
-
-        from repro.dtd import generate_document
-        from repro.workloads import paper
-
-        rng = random.Random(77)
-        schema = paper.d1()
-        docs = [generate_document(schema, rng) for _ in range(2)]
-        mediator = Mediator("mix", cache=MatViewPolicy())
-        mediator.add_source(Source("dept", schema, docs, validate=False))
-        mediator.register_view(paper.q3(), "dept")
-        client = parse_query(TestQueryViewCaching.CLIENT)
-        assert mediator.explain(client, "publist").cache_status == "cold"
-        mediator.query_view(client, "publist")
-        plan = mediator.explain(client, "publist")
-        assert plan.cache_status == "hit"
-        assert "cache: hit" in plan.describe()
 
 
 class TestKernelIntegration:
@@ -774,35 +716,6 @@ class TestDifferentialSoundness:
                 if isinstance(el.content, str)
             ]
             leaves[pick % len(leaves)].set_text(f"edit-{pick}")
-
-    def test_materialized_answer_counts_stay_recompute_only(self):
-        # The materialize path evaluates the client query over the
-        # transient view document; its pick counts describe that one
-        # document, not the source's.  With a one-document source the
-        # lengths agree, so only the mediator can keep the entry from
-        # splicing by those counts.
-        import random
-
-        from repro.dtd import generate_document
-        from repro.workloads import paper
-
-        schema = paper.d1()
-        document = generate_document(schema, random.Random(5))
-        mediator = Mediator("one", cache=MatViewPolicy())
-        mediator.add_source(Source("dept", schema, [document]))
-        mediator.register_view(paper.q3(), "dept")
-        client = parse_query(
-            "v = SELECT P WHERE <publist> P:<publication/> </>"
-        )
-        answer = mediator.query_view(
-            client, "publist", strategy="materialize"
-        )
-        assert mediator.last_cache_outcome == "miss"
-        assert answer.pick_counts == (len(answer.root.children),)
-        key, _ = mediator._query_cache_entry(
-            client, "publist", strategy="materialize"
-        )
-        assert mediator.matview.provenance(key) == [("dept", 0, (-1, -1))]
 
     @staticmethod
     def apply(mediator, op, pick):

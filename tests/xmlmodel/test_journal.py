@@ -229,14 +229,14 @@ def _check(mediator, documents, unrelated, version):
     cache = mediator.matview
     if touched_since(entry.stamp) is None:
         assert entry.answer_intact() is None
-        assert cache.peek(key, entry.legs) == "recompute"
+        assert cache.peek(key) == "recompute"
         return
     assert entry.answer_intact() == oracles.answer_intact(entry, version)
     for state in entry.docs:
         assert state.index.fresh_at(entry.stamp) == oracles.doc_fresh_at(
             state, entry.stamp, version
         )
-    assert cache.peek(key, entry.legs) == oracles.matview_peek(
+    assert cache.peek(key) == oracles.matview_peek(
         cache, key, version
     )
 
