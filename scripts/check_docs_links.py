@@ -35,6 +35,11 @@ CHANGES.md, docs/*.md) and verifies that
    ``docs/OBSERVABILITY.md``, and every row there is registered;
 8. every **``make <target>``** named in backticks is a target of the
    Makefile, so a deleted recipe cannot live on in the docs.
+   CHANGES.md is history and is exempt;
+9. every backticked **dotted ``repro.…`` reference** (optionally
+   written as a call, ``repro.obs.kernel_stats()``) resolves by
+   importing its longest module prefix and looking the rest up as
+   attributes, so a deleted public name cannot live on in the docs.
    CHANGES.md is history and is exempt.
 
 Exit status: 0 when everything resolves, 1 otherwise (one line per
@@ -44,6 +49,7 @@ broken reference).  Wired into ``make check-docs`` / ``make check``.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import subprocess
 import sys
@@ -76,6 +82,7 @@ PATH_TOKEN = re.compile(
 )
 ENV_VAR = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 MAKE_CALL = re.compile(r"(?:^|\s)make ([\w][\w\-]*)")
+DOTTED_REF = re.compile(r"^(repro(?:\.\w+)+)(?:\(.*\))?$")
 MAKE_RULE = re.compile(r"^([\w\-][\w\- ]*):(?!=)", re.MULTILINE)
 SPAN_CATALOGUE = "## Span catalogue"
 STATS_CATALOGUE = "## Stats catalogue"
@@ -179,6 +186,42 @@ def check_make_targets(docs: list[Path]) -> list[str]:
                         f"{call.group(1)} is not in the Makefile"
                     )
     return problems
+
+
+def check_dotted_references(docs: list[Path]) -> list[str]:
+    """Every backticked dotted ``repro.…`` name must resolve."""
+    sys.path.insert(0, str(REPO / "src"))
+    problems = []
+    for doc in docs:
+        if doc.name == "CHANGES.md":
+            continue
+        text = doc.read_text(encoding="utf-8")
+        for span in code_spans(text):
+            match = DOTTED_REF.match(span.group(1))
+            if match and not _resolves(match.group(1)):
+                line = text.count("\n", 0, span.start()) + 1
+                problems.append(
+                    f"{doc.relative_to(REPO)}:{line}: {match.group(1)} "
+                    "does not resolve"
+                )
+    return problems
+
+
+def _resolves(dotted: str) -> bool:
+    """Import the longest module prefix of ``dotted``, then look up
+    the remaining parts as attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
 
 
 def check_diagnostic_catalogue() -> list[str]:
@@ -326,6 +369,7 @@ def main() -> int:
     problems.extend(check_span_catalogue())
     problems.extend(check_stats_catalogue())
     problems.extend(check_make_targets(DOC_FILES))
+    problems.extend(check_dotted_references(DOC_FILES))
     for problem in problems:
         print(problem)
     checked = ", ".join(str(p.relative_to(REPO)) for p in DOC_FILES)

@@ -17,14 +17,7 @@ from .interface import (
     render_health,
     structure_tree,
 )
-from .matview import (
-    CacheLeg,
-    CacheOutcome,
-    MatViewCache,
-    MatViewPolicy,
-    plan_signature,
-    query_signature,
-)
+from .matview import CacheLeg, CacheOutcome, MatViewCache, MatViewPolicy
 from .mediator import (
     Mediator,
     QueryPlan,
@@ -99,8 +92,6 @@ __all__ = [
     "fragment_can_match",
     "fragment_specialization_problem",
     "partition_documents",
-    "plan_signature",
-    "query_signature",
     "render_health",
     "simplify_query",
     "slow",

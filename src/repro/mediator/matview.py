@@ -10,11 +10,12 @@ changed.  Two earlier pieces make materialization sound:
   question and "what changed?" costs O(edits since).
 
 A mediator's :class:`MatViewCache` keeps the validated answers of that
-mediator's own union views, keyed by view name and the branches'
-compiled-plan signatures.  It is never shared: the key does not name
-the federation, and an entry is checked against the sources of the
-mediator that stored it, so a second mediator would be served the
-first one's answer.  Ad-hoc ``query_view`` answers are not cached.
+mediator's own union views, keyed by view name: a name is registered
+once and its definition never changes.  The cache is never shared: the
+key does not name the federation, and an entry is checked against the
+sources of the mediator that stored it, so a second mediator would be
+served the first one's answer.  Ad-hoc ``query_view`` answers are not
+cached.
 Each entry carries the stamp at which it was last validated, and a
 probe revalidates it with the same fast-path/re-arm discipline as
 :func:`repro.xmlmodel.index.document_index`:
@@ -53,8 +54,9 @@ A snapshot also keeps its **cached bytes**, the answer in the form
 the serve protocol sends: one serialized fragment per top-level pick
 (as a JSON string body) and, assembled from them by the document
 writer's own join, the whole answer as a JSON string literal.  Both
-are built on the first :meth:`MatViewCache.answer_json` and handed out
-only for the entry's current master, under the same freshness test as
+are built on the first :meth:`MatViewCache.answer_json` -- for a served
+miss, right after it is stored -- and handed out only for the entry's
+current master, under the same freshness test as
 a hit (clock unmoved, or the master intact), so a caller edit, a
 journal overflow, a delta, an eviction or a ``MED007`` fallback each
 refuses them.  A delta splice swaps the fragments of the slice it
@@ -87,7 +89,6 @@ from .. import obs
 from ..errors import STALE_DELTA_FALLBACK
 from ..obs import registry
 from ..xmas import Query, evaluate_many
-from ..xmas.engine import CompiledPlan, compile_query
 from ..xmlmodel import Document, serialize_element
 from ..xmlmodel.element import mutation_stamp, touched_since
 from ..xmlmodel.index import DocumentIndex, document_index
@@ -100,7 +101,7 @@ if TYPE_CHECKING:
 
 
 # ---------------------------------------------------------------------------
-# policy and keying
+# policy and legs
 # ---------------------------------------------------------------------------
 
 
@@ -117,37 +118,6 @@ class MatViewPolicy:
     max_bytes: int = 8 << 20
 
 
-def plan_signature(plan: CompiledPlan) -> tuple:
-    """A stable, hashable fingerprint of a compiled plan.
-
-    Two queries with the same signature materialize the same answer
-    over the same documents, so the signature (not the query object)
-    keys cache entries.
-    """
-    return (
-        tuple(
-            (
-                None
-                if node.names is None
-                else tuple(sorted(node.names)),
-                node.variable,
-                node.pcdata,
-                node.recursive,
-                node.parent,
-                node.end,
-            )
-            for node in plan.nodes
-        ),
-        plan.pick_path,
-        plan.projectable,
-    )
-
-
-def query_signature(query: Query) -> tuple:
-    """``plan_signature`` of a query (compiled through the plan cache)."""
-    return plan_signature(compile_query(query))
-
-
 @dataclass(frozen=True)
 class CacheLeg:
     """One source's contribution to a cached union view.
@@ -157,7 +127,6 @@ class CacheLeg:
     contribution to the answer.
     """
 
-    source_name: str
     source: "Source"
     delta_query: Query
 
@@ -170,9 +139,10 @@ class CacheLeg:
 class _DocState:
     """One contributing document's slice of a cached answer.
 
-    ``start:stop`` is the half-open range of top-level answer children
-    this document produced (``-1`` when unknown -- entry is then
-    recompute-only); ``index`` is the document's
+    ``leg`` is the index of the entry's leg whose source holds the
+    document; ``start:stop`` is the half-open range of top-level answer
+    children this document produced (``-1`` when unknown -- entry is
+    then recompute-only); ``index`` is the document's
     :class:`DocumentIndex` at entry-build time, kept so staleness can
     be decided with the same completeness argument as
     ``DocumentIndex.changed_since``: new elements necessarily hang off
@@ -199,10 +169,8 @@ class _DocState:
         self.stop = stop
 
 
-
 class _Entry:
     __slots__ = (
-        "key",
         "view_name",
         "dtd",
         "answer",
@@ -212,24 +180,20 @@ class _Entry:
         "bytes",
         "stamp",
         "legs",
-        "leg_docs",
         "docs",
         "spliceable",
     )
 
     def __init__(
         self,
-        key: tuple,
         view_name: str,
         dtd: "Dtd",
         answer: Document,
         legs: tuple[CacheLeg, ...],
-        leg_docs: tuple[tuple[Document, ...], ...],
         docs: list[_DocState],
         stamp: int,
         spliceable: bool,
     ) -> None:
-        self.key = key
         self.view_name = view_name
         self.dtd = dtd
         self.answer = answer
@@ -250,7 +214,6 @@ class _Entry:
         # the clock at which the entry was last validated
         self.stamp = stamp
         self.legs = legs
-        self.leg_docs = leg_docs
         self.docs = docs
         self.spliceable = spliceable
 
@@ -309,7 +272,6 @@ class _MissToken:
     entry conservatively stale, so the next lookup re-checks it.
     """
 
-    key: tuple
     view_name: str
     dtd: "Dtd"
     legs: tuple[CacheLeg, ...]
@@ -321,16 +283,13 @@ class CacheOutcome:
     """What a :meth:`MatViewCache.probe` decided.
 
     ``status`` is ``"hit"`` / ``"delta"`` / ``"miss"``; on a miss
-    ``reason`` says why (``cold`` / ``stale`` / ``docs-changed`` /
-    ``stale-delta``) and ``token`` (when cacheable)
-    should be passed to :meth:`MatViewCache.store` with the computed
-    answer.
+    ``token`` should be passed to :meth:`MatViewCache.store` with the
+    computed answer.
     """
 
     status: str
     answer: Document | None = None
     token: _MissToken | None = None
-    reason: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +312,7 @@ class MatViewCache:
     def __init__(self, policy: MatViewPolicy | None = None) -> None:
         self.policy = policy or MatViewPolicy()
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self.clear()  # sets _bytes and every counter of _COUNTERS
         _LIVE_CACHES.add(self)
 
@@ -380,8 +339,9 @@ class MatViewCache:
 
     def answer_json(self, document: Document) -> bytes | None:
         """``serialize_document(document)`` as a JSON string literal
-        (UTF-8), or ``None`` unless ``document`` is a held entry's
-        current master and unedited since it was validated.
+        (UTF-8), or ``None`` unless ``document`` is the current master
+        of the entry of its view (an answer's root is named after its
+        view) and unedited since it was validated.
 
         The bytes are assembled from the entry's per-pick fragments by
         the document writer's own join, kept on the entry and charged
@@ -389,10 +349,8 @@ class MatViewCache:
         picks.
         """
         with self._lock:
-            for entry in reversed(self._entries.values()):
-                if entry.answer is document:
-                    break
-            else:
+            entry = self._entries.get(document.root.name)
+            if entry is None or entry.answer is not document:
                 return None
             if mutation_stamp() != entry.stamp and not entry.answer_intact():
                 return None
@@ -416,14 +374,19 @@ class MatViewCache:
     # -- the decision procedure ------------------------------------------
 
     def _docs_unchanged(self, entry: _Entry) -> bool:
-        for leg, stored in zip(entry.legs, entry.leg_docs):
-            current = leg.source.documents
-            if len(current) != len(stored):
-                return False
-            for live, kept in zip(current, stored):
-                if live is not kept:
+        """Whether every leg's source still holds exactly the
+        documents the entry was built from, in order."""
+        kept = iter(entry.docs)
+        for leg_index, leg in enumerate(entry.legs):
+            for live in leg.source.documents:
+                state = next(kept, None)
+                if (
+                    state is None
+                    or state.leg != leg_index
+                    or state.document is not live
+                ):
                     return False
-        return True
+        return next(kept, None) is None
 
     def _classify(
         self, entry: _Entry
@@ -456,13 +419,13 @@ class MatViewCache:
             return "delta", dirty[0]
         return "stale", None
 
-    def peek(self, key: tuple) -> str:
+    def peek(self, view_name: str) -> str:
         """Non-mutating classification for ``explain()``.
 
         Returns ``"hit"``, ``"delta"``, ``"recompute"``, or ``"cold"``.
         """
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(view_name)
             if entry is None:
                 return "cold"
             verdict, _ = self._classify(entry)
@@ -474,10 +437,9 @@ class MatViewCache:
 
     def probe(
         self,
-        key: tuple,
         view_name: str,
         dtd: "Dtd",
-        legs: Sequence[CacheLeg],
+        legs: tuple[CacheLeg, ...],
     ) -> CacheOutcome:
         """Look up (and, when possible, delta-maintain) a cached answer.
 
@@ -486,21 +448,18 @@ class MatViewCache:
         outcome whose token the caller redeems with :meth:`store`
         after recomputing.
         """
-        legs = tuple(legs)
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(view_name)
             if entry is None:
                 self.misses += 1
-                return self._miss(
-                    key, view_name, dtd, legs, "cold"
-                )
+                return self._miss(view_name, dtd, legs, "cold")
             stamp = mutation_stamp()
             verdict, dirty = self._classify(entry)
             if verdict in ("fast-hit", "rearm-hit"):
                 if verdict == "rearm-hit":
                     entry.stamp = stamp
                 self.hits += 1
-                self._entries.move_to_end(key)
+                self._entries.move_to_end(view_name)
                 with obs.span("matview.hit") as sp:
                     sp.set_attribute("view", view_name)
                     sp.set_attribute("bytes", entry.bytes)
@@ -513,23 +472,20 @@ class MatViewCache:
                 maintained = self._maintain(entry, dirty, stamp)
                 if maintained is not None:
                     self.deltas += 1
-                    self._entries.move_to_end(key)
+                    self._entries.move_to_end(view_name)
                     return CacheOutcome("delta", answer=maintained)
                 # stale-delta fallback (MED007): entry already dropped
                 self.stale_delta_fallbacks += 1
                 self.misses += 1
-                return self._miss(
-                    key, view_name, dtd, legs, "stale-delta"
-                )
+                return self._miss(view_name, dtd, legs, "stale-delta")
             # docs-changed, unknown, answer-mutated or stale: recompute
-            self._drop(key)
+            self._drop(view_name)
             self.invalidations += 1
             self.misses += 1
-            return self._miss(key, view_name, dtd, legs, verdict)
+            return self._miss(view_name, dtd, legs, verdict)
 
     def _miss(
         self,
-        key: tuple,
         view_name: str,
         dtd: "Dtd",
         legs: tuple[CacheLeg, ...],
@@ -538,11 +494,11 @@ class MatViewCache:
         with obs.span("matview.miss") as sp:
             sp.set_attribute("view", view_name)
             sp.set_attribute("reason", reason)
-        token = _MissToken(key, view_name, dtd, legs, mutation_stamp())
-        return CacheOutcome("miss", token=token, reason=reason)
+        token = _MissToken(view_name, dtd, legs, mutation_stamp())
+        return CacheOutcome("miss", token=token)
 
-    def _drop(self, key: tuple) -> None:
-        entry = self._entries.pop(key, None)
+    def _drop(self, view_name: str) -> None:
+        entry = self._entries.pop(view_name, None)
         if entry is not None:
             self._bytes -= entry.bytes
 
@@ -594,7 +550,7 @@ class MatViewCache:
         leg = entry.legs[dirty.leg]
         with obs.span("matview.delta") as sp:
             sp.set_attribute("view", entry.view_name)
-            sp.set_attribute("source", leg.source_name)
+            sp.set_attribute("source", leg.source.name)
             fresh = evaluate_many(leg.delta_query, [dirty.document])
             new_children = list(fresh.root.children)
             old = entry.answer.root.content
@@ -623,7 +579,7 @@ class MatViewCache:
                 sp.add_event(
                     "stale_delta_fallback", code=STALE_DELTA_FALLBACK
                 )
-                self._drop(entry.key)
+                self._drop(entry.view_name)
                 return None
             dirty.index = document_index(dirty.document)
             old_ids, old_bytes = _walk_subtrees(old[start:stop])
@@ -673,16 +629,13 @@ class MatViewCache:
         makes the stored entry recompute-only.  Degraded answers must
         not be stored; the mediator checks.
         """
-        legs = token.legs
         docs: list[_DocState] = []
-        leg_docs: list[tuple[Document, ...]] = []
         spliceable = True
         offset = 0
         for leg_index, (leg, counts) in enumerate(
-            zip(legs, counts_per_leg)
+            zip(token.legs, counts_per_leg)
         ):
             documents = tuple(leg.source.documents)
-            leg_docs.append(documents)
             # Counts that do not describe this leg's documents leave
             # the entry recompute-only: it can still be validated and
             # invalidated, but never spliced, so the (meaningless)
@@ -704,12 +657,10 @@ class MatViewCache:
                     )
                 )
         entry = _Entry(
-            token.key,
             token.view_name,
             token.dtd,
             answer,
-            legs,
-            tuple(leg_docs),
+            token.legs,
             docs,
             token.stamp,
             spliceable,
@@ -722,8 +673,8 @@ class MatViewCache:
                 if entry.bytes > self.policy.max_bytes:
                     self.evictions += 1
                     return
-                self._drop(token.key)
-                self._entries[token.key] = entry
+                self._drop(token.view_name)
+                self._entries[token.view_name] = entry
                 self._bytes += entry.bytes
                 self.recomputes += 1
                 self._evict()

@@ -35,12 +35,7 @@ from ..inference import (
 )
 from ..xmas import CompiledPlan, Query, compile_query, evaluate_many
 from ..xmlmodel import Document, Element, fresh_id
-from .matview import (
-    CacheLeg,
-    MatViewCache,
-    MatViewPolicy,
-    query_signature,
-)
+from .matview import CacheLeg, MatViewCache, MatViewPolicy
 from .parallel import FanoutPolicy, ParallelTransport
 from .simplifier import SimplifierDecision, simplify_query
 from .source import Source
@@ -52,9 +47,6 @@ from .transport import (
     SystemClock,
     TransportPolicy,
 )
-
-#: A request's matview cache key and the source legs it reads.
-CacheEntry = tuple[tuple, tuple[CacheLeg, ...]]
 
 
 @dataclass
@@ -144,12 +136,8 @@ class UnionViewRegistration:
     branches: list
     source_names: list[str]
     inference: "UnionInferenceResult"
-    #: lazily memoized matview cache key and legs (branch plan
-    #: signatures are stable once registered; rebuilding them per
-    #: request would tax the cache's hit path)
-    _cache_entry: CacheEntry | None = field(
-        default=None, repr=False, compare=False
-    )
+    #: one matview cache leg per branch, built once at registration
+    legs: tuple[CacheLeg, ...]
 
     @property
     def dtd(self) -> Dtd:
@@ -212,8 +200,7 @@ class Mediator:
         self.views: dict[str, ViewRegistration] = {}
         self.union_views: dict[str, "UnionViewRegistration"] = {}
         self.stats = QueryStats()
-        #: counter increments on concurrently-served paths (repro.serve
-        #: answers one mediator from many handler threads)
+        #: guards every ``stats`` increment (see :meth:`_count`)
         self._stats_lock = threading.Lock()
         self._tls = threading.local()
 
@@ -307,7 +294,9 @@ class Mediator:
             target = next(iter(self.sources))
         if target not in self.sources:
             raise MediatorError(f"unknown source {target!r}")
-        if query.view_name in self.views:
+        if query.view_name in self.views or (
+            query.view_name in self.union_views
+        ):
             raise MediatorError(
                 f"view {query.view_name!r} already registered"
             )
@@ -406,7 +395,7 @@ class Mediator:
         if strategy not in ("auto", "compose", "materialize"):
             raise MediatorError(f"unknown strategy {strategy!r}")
         registration = self._view(view_name)
-        self.stats.queries += 1
+        self._count(queries=1)
         self.last_degradation = None
         self.last_cache_outcome = "off"
         effective = query
@@ -416,9 +405,11 @@ class Mediator:
                 shared: dict = {}
                 report = self.preflight(query, view_name, cache=shared)
                 if report.has_errors:
-                    self.stats.preflight_rejections += 1
-                    self.stats.fanouts_skipped += 1
-                    self.stats.answered_without_source += 1
+                    self._count(
+                        preflight_rejections=1,
+                        fanouts_skipped=1,
+                        answered_without_source=1,
+                    )
                     sp.set_attribute("outcome", "preflight_rejected")
                     return _empty_answer(query.view_name)
                 decision: SimplifierDecision = simplify_query(
@@ -428,10 +419,10 @@ class Mediator:
                     tightening=shared.get("tighten"),
                 )
                 if decision.answer_is_empty:
-                    self.stats.answered_without_source += 1
+                    self._count(answered_without_source=1)
                     sp.set_attribute("outcome", "simplified_empty")
                     return _empty_answer(query.view_name)
-                self.stats.conditions_pruned += decision.pruned_nodes
+                self._count(conditions_pruned=decision.pruned_nodes)
                 effective = decision.query
             try:
                 if strategy in ("auto", "compose"):
@@ -442,7 +433,7 @@ class Mediator:
                         registration.query, effective, source.dtd
                     )
                     if composed is not None:
-                        self.stats.composed += 1
+                        self._count(composed=1)
                         sp.set_attribute("outcome", "composed")
                         return self._call_source(
                             registration.source_name, composed, deadline
@@ -467,6 +458,14 @@ class Mediator:
                     query.view_name, registration.source_name, error
                 )
 
+    def _count(self, **increments: int) -> None:
+        """Add to ``stats`` counters under the lock (one mediator
+        answers many ``repro serve`` handler threads, and an unguarded
+        ``+=`` loses increments)."""
+        with self._stats_lock:
+            for name, amount in increments.items():
+                setattr(self.stats, name, getattr(self.stats, name) + amount)
+
     def _degraded_empty_answer(
         self, answer_name: str, source_name: str, error: MediatorError
     ) -> Document:
@@ -482,8 +481,7 @@ class Mediator:
             view_name=answer_name,
             skipped={source_name: f"{error.code}: {error}"},
         )
-        with self._stats_lock:
-            self.stats.degraded_answers += 1
+        self._count(degraded_answers=1)
         self.last_degradation = report
         return _empty_answer(answer_name)
 
@@ -574,8 +572,7 @@ class Mediator:
         def build() -> QueryPlan:
             cache_status = "off"
             if self.matview is not None:
-                key, _ = self._union_cache_entry(registration)
-                cache_status = self.matview.peek(key)
+                cache_status = self.matview.peek(view_name)
             return QueryPlan(
                 view_name=view_name,
                 classification=None,
@@ -624,33 +621,17 @@ class Mediator:
             compile_query(query)  # warm the plan cache for serving
         inference = infer_union_view_dtd(branches, view_name, self.mode)
         registration = UnionViewRegistration(
-            view_name, branches, source_names, inference
+            view_name,
+            branches,
+            source_names,
+            inference,
+            tuple(
+                CacheLeg(self.sources[name], query)
+                for name, query in zip(source_names, queries)
+            ),
         )
         self.union_views[view_name] = registration
         return registration
-
-    def _union_cache_entry(
-        self, registration: "UnionViewRegistration"
-    ) -> CacheEntry:
-        """The matview ``(key, legs)`` of a union view (memoized)."""
-        if registration._cache_entry is None:
-            registration._cache_entry = (
-                (
-                    "union",
-                    registration.name,
-                    tuple(
-                        query_signature(branch.query)
-                        for branch in registration.branches
-                    ),
-                ),
-                tuple(
-                    CacheLeg(name, self.sources[name], branch.query)
-                    for branch, name in zip(
-                        registration.branches, registration.source_names
-                    )
-                ),
-            )
-        return registration._cache_entry
 
     def materialize_union(
         self,
@@ -700,8 +681,7 @@ class Mediator:
             mv.note_bypass()
             self.last_cache_outcome = "bypass"
         else:
-            key, legs = self._union_cache_entry(registration)
-            probe = mv.probe(key, view_name, registration.dtd, legs)
+            probe = mv.probe(view_name, registration.dtd, registration.legs)
             self.last_cache_outcome = probe.status
             if probe.answer is not None:
                 return probe.answer
@@ -760,8 +740,7 @@ class Mediator:
                         document=document,
                         report=report,
                     ) from first_error
-                with self._stats_lock:
-                    self.stats.degraded_answers += 1
+                self._count(degraded_answers=1)
                 self.last_degradation = report
             if token is not None and not report.skipped:
                 assert mv is not None

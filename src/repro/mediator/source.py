@@ -39,10 +39,6 @@ class Source:
     #: how many queries this source has answered (fan-out accounting:
     #: the mediator pre-flight is measured by what *never* gets here)
     queries_served: int = 0
-    #: a :class:`~repro.store.DocumentStore` whose documents this
-    #: source serves in addition to ``documents`` (loaded as handles in
-    #: ``__post_init__``; validated per ``validate`` like any other)
-    attach_store: "DocumentStore | None" = None
     #: guards ``queries_served``: concurrent ``repro serve`` handler
     #: threads hit the same source, and an unguarded ``+= 1`` is a
     #: read-modify-write that loses increments under contention
@@ -54,9 +50,6 @@ class Source:
         existing, self.documents = self.documents, []
         for document in existing:
             self.add_document(document)
-        if self.attach_store is not None:
-            for document in self.attach_store.documents():
-                self.add_document(document)
 
     @classmethod
     def from_store(

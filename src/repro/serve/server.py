@@ -422,12 +422,13 @@ class MediatorServer:
             self.admission.release()
         elapsed = self.mediator.clock.now() - started
         self.latency.observe(elapsed)
-        # A hit or a delta is sent as the bytes its matview entry
-        # keeps; every other answer (a miss, cache off or bypassed,
-        # degraded, refused by the cache's freshness check) goes
-        # through the document writer here.
+        # An answer the matview cache holds (a hit, a delta, or a miss
+        # it has just stored) is sent as the bytes its entry keeps;
+        # every other answer (cache off or bypassed, degraded, evicted,
+        # refused by the cache's freshness check) goes through the
+        # document writer here.
         encoded = None
-        if cache_outcome in ("hit", "delta"):
+        if self.mediator.matview is not None:
             encoded = self.mediator.matview.answer_json(document)
         response = {
             "ok": True,

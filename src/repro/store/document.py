@@ -19,7 +19,6 @@ engine's enumeration fallback (``.root``, document-sized, counted as a
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from ..errors import StoreStaleError
@@ -202,7 +201,7 @@ class StoredDocumentIndex:
         """Stored rows never mutate in place; freshness is the counter."""
         return self.generation == self.store.generation()
 
-    # -- label lists and intervals ----------------------------------------
+    # -- label lists -----------------------------------------------------
 
     def labelled(self, name: str) -> list[int]:
         return self._labels.get(name, [])
@@ -213,15 +212,6 @@ class StoredDocumentIndex:
             cached = frozenset(self._labels.get(name, ()))
             self._label_sets[name] = cached
         return cached
-
-    def labelled_within(self, name: str, pos: int) -> list[int]:
-        positions = self.labelled(name)
-        lo = bisect_left(positions, pos)
-        hi = bisect_left(positions, self.end[pos], lo)
-        return positions[lo:hi]
-
-    def is_ancestor_or_self(self, ancestor: int, descendant: int) -> bool:
-        return ancestor <= descendant < self.end[ancestor]
 
 
 class StoredDocument(Document):

@@ -8,9 +8,8 @@ array operations:
 
 * *label lookup* -- "all elements named ``n`` in document order" is a
   precomputed list instead of a full traversal, and
-* *recursive steps* -- "descendants of ``e`` named ``n``" is a binary
-  search over that list against ``e``'s descendant interval
-  ``[pos, end)`` instead of a re-descent.
+* *recursive steps* -- a chain closure is one reverse sweep over
+  preorder positions and their child lists instead of a re-descent.
 
 The build is iterative (explicit stack), so documents nested
 arbitrarily deep -- the Example 3.5 recursive-chain shape -- index
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from bisect import bisect_left
 
 from ..obs import registry
 from .element import Document, Element, mutation_stamp, touched_since
@@ -174,22 +172,6 @@ class DocumentIndex:
             cached = frozenset(self.by_label.get(name, ()))
             self._label_sets[name] = cached
         return cached
-
-    def labelled_within(self, name: str, pos: int) -> list[int]:
-        """Positions named ``name`` inside the subtree of ``pos``.
-
-        This is the interval scan that replaces a recursive re-descent:
-        two binary searches over the label's position list against the
-        descendant interval ``[pos, end[pos])``.
-        """
-        positions = self.by_label.get(name, [])
-        lo = bisect_left(positions, pos)
-        hi = bisect_left(positions, self.end[pos], lo)
-        return positions[lo:hi]
-
-    def is_ancestor_or_self(self, ancestor: int, descendant: int) -> bool:
-        """Interval containment test on preorder positions."""
-        return ancestor <= descendant < self.end[ancestor]
 
 
 _INDEX_CACHE: "weakref.WeakKeyDictionary[Document, DocumentIndex]" = (

@@ -254,3 +254,52 @@ class TestSourceAccounting:
 
         run_threads(threads, worker)
         assert source.queries_served == threads * per_thread
+
+    def test_query_view_stats_are_exact_under_contention(self):
+        """Every ``Mediator.stats`` counter ``query_view`` bumps is exact.
+
+        Composed, pre-flight-rejected and pruned queries from many
+        threads each bump their counters by a read-modify-write; with
+        the mediator's stats lock around every increment none is lost.
+        """
+        from repro.mediator import Mediator, Source
+        from repro.xmas import parse_query
+
+        schema = site_schema()
+        rng = random.Random(5)
+        documents = [generate_document(schema, rng) for _ in range(2)]
+        mediator = Mediator("m")
+        mediator.add_source(Source("site", schema, documents, validate=False))
+        mediator.register_view(
+            parse_query("v = SELECT E WHERE <site> E:<entry/> </>"), "site"
+        )
+        composed = parse_query(
+            "q = SELECT P WHERE <v> <entry> P:<publication/> </> </>"
+        )
+        pruned = parse_query(
+            "q = SELECT P WHERE <v> <entry> "
+            "<publication><title/></publication> P:<publication/> </> </>"
+        )
+        dead = parse_query("q = SELECT X WHERE <v> X:<nosuch/> </>")
+        stats = mediator.stats
+        for name in (
+            "queries", "composed", "conditions_pruned",
+            "preflight_rejections", "fanouts_skipped",
+            "answered_without_source",
+        ):
+            setattr(stats, name, self._YieldingInt(0))
+        threads, per_thread = 6, 10
+
+        def worker(_i):
+            for _ in range(per_thread):
+                for query in (composed, pruned, dead):
+                    mediator.query_view(query, "v")
+
+        run_threads(threads, worker)
+        rounds = threads * per_thread
+        assert stats.queries == 3 * rounds
+        assert stats.composed == 2 * rounds
+        assert stats.conditions_pruned == rounds
+        assert stats.preflight_rejections == rounds
+        assert stats.fanouts_skipped == rounds
+        assert stats.answered_without_source == rounds

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.dtd import validate_document
+from repro.errors import MediatorError
 from repro.mediator import (
     FakeClock,
     FanoutPolicy,
@@ -269,14 +270,14 @@ class TestDeltaMaintenance:
         mediator = federation()
         mv = mediator.matview
         registration = mediator.union_views[VIEW]
-        key, legs = mediator._union_cache_entry(registration)
-        outcome = mv.probe(key, VIEW, registration.dtd, legs)
+        legs = registration.legs
+        outcome = mv.probe(VIEW, registration.dtd, legs)
         assert outcome.status == "miss"
         answer = mediator.materialize_union(VIEW, cache=False)
         document, publication = find_journal_pick(mediator)
         publication.children[0].set_text("landed mid-flight")
         mv.store(outcome.token, answer, [None] * len(legs))
-        reprobe = mv.probe(key, VIEW, registration.dtd, legs)
+        reprobe = mv.probe(VIEW, registration.dtd, legs)
         assert reprobe.status == "miss"  # stale, not served
         final = mediator.materialize_union(VIEW)
         assert "landed mid-flight" in serialize_document(final)
@@ -410,6 +411,24 @@ class TestBypassAndPolicy:
             assert answer.root.children
             assert mediator.last_cache_outcome == "off"
         assert mediator.matview.info() == before
+        mediator.materialize_union(VIEW)
+        assert mediator.last_cache_outcome == "hit"
+
+    def test_a_view_name_is_registered_once(self):
+        # Entries are keyed by view name alone; that is sound because a
+        # registered name can never be given another definition.
+        mediator = federation()
+        mediator.materialize_union(VIEW)
+        entry = mediator.matview._entries[VIEW]
+        with pytest.raises(MediatorError):
+            mediator.register_union_view(
+                [branch_query("site0"), branch_query("site1")], VIEW
+            )
+        with pytest.raises(MediatorError):
+            mediator.register_view(branch_query("site0"), "site0")
+        assert VIEW not in mediator.views
+        assert list(mediator.matview._entries) == [VIEW]
+        assert mediator.matview._entries[VIEW] is entry
         mediator.materialize_union(VIEW)
         assert mediator.last_cache_outcome == "hit"
 

@@ -252,9 +252,9 @@ def doc_fresh_at(state, stamp: int, version: Version) -> bool:
     return index_fresh_at(state.index, stamp, version)
 
 
-def matview_peek(cache, key, version: Version) -> str:
+def matview_peek(cache, view_name, version: Version) -> str:
     """``MatViewCache.peek`` with every freshness question scanned."""
-    entry = cache._entries.get(key)
+    entry = cache._entries.get(view_name)
     if entry is None:
         return "cold"
     if not cache._docs_unchanged(entry):

@@ -282,6 +282,35 @@ class TestServedBytes:
             mediator.materialize_union(VIEW).root.children
         )
 
+    def test_a_served_miss_is_rendered_once(self, monkeypatch):
+        # The miss is stored before it is sent, so it goes out as the
+        # entry's bytes and the hit after it reuses the fragments; only
+        # an answer the cache does not hold meets the document writer.
+        import repro.serve.server as server_module
+
+        written = []
+
+        def counting(document):
+            written.append(document)
+            return serialize_document(document)
+
+        monkeypatch.setattr(server_module, "serialize_document", counting)
+        mediator = federation()
+        with MediatorServer(mediator) as server:
+            with ServeClient(*server.address) as client:
+                miss = client.union(VIEW)
+                hit = client.union(VIEW)
+                stats = client.stats()["matview"]
+                assert written == []
+                bypassed = client.union(VIEW, cache=False)
+        assert (miss["cache"], hit["cache"]) == ("miss", "hit")
+        answer = mediator.materialize_union(VIEW)
+        assert miss["answer"] == hit["answer"] == serialize_document(answer)
+        assert stats["fragments_built"] == len(answer.root.children)
+        assert stats["encoded_answers"] == 2
+        assert bypassed["answer"] == miss["answer"]
+        assert len(written) == 1
+
     def test_a_delta_renders_only_the_fresh_picks(self):
         mediator = federation(n_docs=3)
         answer = mediator.materialize_union(VIEW)

@@ -383,15 +383,6 @@ class TestStoredIndexProtocol:
             for name in ("site", "paper", "title", "year", "absent"):
                 assert index.labelled(name) == oracle.labelled(name)
                 assert index.labelled_set(name) == oracle.labelled_set(name)
-                for pos in range(len(oracle)):
-                    assert index.labelled_within(
-                        name, pos
-                    ) == oracle.labelled_within(name, pos)
-            for ancestor in range(len(oracle)):
-                for descendant in range(len(oracle)):
-                    assert index.is_ancestor_or_self(
-                        ancestor, descendant
-                    ) == oracle.is_ancestor_or_self(ancestor, descendant)
 
     def test_element_at_hydrates_the_subtree_only(self):
         with DocumentStore(":memory:") as store:
@@ -477,19 +468,6 @@ class TestSourceIntegration:
             with pytest.raises(ValidationError):
                 Source.from_store("junk", schema, store, source="junk",
                                   validate=True)
-
-    def test_attach_store_loads_the_corpus(self):
-        from repro.mediator import Source
-
-        schema, documents = self._corpus(n_docs=2)
-        with DocumentStore(":memory:") as store:
-            for document in documents:
-                store.ingest_document(document)
-            source = Source("dept", schema, [], validate=False,
-                            attach_store=store)
-            assert len(source.documents) == 2
-            answer = source.query(self._query())
-            assert answer.root.name == "v"
 
     def test_query_path_never_hydrates(self):
         """The compiled engine answers from the arrays: 0 hydrations."""
