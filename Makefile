@@ -35,7 +35,8 @@ perfbench-test:
 # Static checks: ruff + mypy --strict (each skipped with a notice when
 # not installed -- offline images may lack them), then `repro lint`
 # over the example workloads.  The paper workload contains a
-# deliberately dead query, so its expected exit code is 1.
+# deliberately dead query, so its expected exit code is 1.  The closing
+# line names every tool that was skipped.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		echo "== ruff"; ruff check src tests benchmarks || exit 1; \
@@ -52,7 +53,13 @@ lint:
 		echo "expected exit 1 from the paper workload, got $$status"; \
 		exit 1; \
 	fi
-	@echo "lint OK"
+	@skipped=""; \
+	for tool in ruff mypy; do \
+		command -v $$tool >/dev/null 2>&1 || skipped="$${skipped:+$$skipped, }$$tool"; \
+	done; \
+	if [ -n "$$skipped" ]; then \
+		echo "lint OK ($$skipped not installed: skipped)"; \
+	else echo "lint OK"; fi
 
 examples:
 	@for ex in examples/*.py; do \

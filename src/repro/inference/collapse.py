@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .. import obs
 from ..dtd import Pcdata, SpecializedDtd, TaggedName
-from ..regex import Sym, canonical_signature, rename
+from ..regex import Sym, canonical_signature, substitute
 from .tighten import NodeTyping, TightenResult
 
 
@@ -53,7 +53,7 @@ def _rep_map(classes: list[list[TaggedName]]) -> dict[TaggedName, Sym]:
     """Renaming to class representatives, identity entries omitted.
 
     A key that is its own representative renames to itself; leaving it
-    out keeps the map small and lets :func:`repro.regex.rename` return
+    out keeps the map small and lets :func:`repro.regex.substitute` return
     untouched subtrees by pointer instead of walking them.
     """
     rep_map: dict[TaggedName, Sym] = {}
@@ -92,7 +92,7 @@ def _split_by_signature(
         return [members]
     buckets: dict[object, list[TaggedName]] = {}
     for key in members:
-        content = rename(sdtd.types[key], rep_map)
+        content = substitute(sdtd.types[key], rep_map)
         buckets.setdefault(canonical_signature(content), []).append(key)
     return list(buckets.values())
 
@@ -180,7 +180,7 @@ def _collapse_classes(
         if isinstance(content, Pcdata):
             new_types[target] = content
         else:
-            new_types[target] = rename(content, sym_map)
+            new_types[target] = substitute(content, sym_map)
     new_root = final[sdtd.root] if sdtd.root is not None else None
     collapsed = SpecializedDtd(new_types, new_root)
     collapsed.check_consistency()

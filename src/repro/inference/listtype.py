@@ -55,7 +55,9 @@ from .simplifytype import simplify_list_type
 from .tighten import NodeTyping, TightenResult
 
 
-def _project(r: Regex, typing: NodeTyping, mode: InferenceMode) -> Regex:
+def _project(
+    r: Regex, typing: NodeTyping, mode: InferenceMode, memo: dict[Regex, Regex]
+) -> Regex:
     """Appendix B's ``project``: keep only positions that can be picks.
 
     * a position carrying a *proper* pick mark contributes exactly one
@@ -68,6 +70,11 @@ def _project(r: Regex, typing: NodeTyping, mode: InferenceMode) -> Regex:
       even when the step's condition is valid: sibling distinctness may
       exclude that witness from ever being picked;
     * any other position contributes nothing (``ε``).
+
+    ``typing`` and ``mode`` are fixed for one projection, so ``memo``
+    (owned by the caller, for that projection only) maps every
+    composite node already projected to its result: each distinct node
+    of the shared list type is projected once.
     """
     if isinstance(r, Sym):
         key = typing.keys.get(r.name)
@@ -95,17 +102,23 @@ def _project(r: Regex, typing: NodeTyping, mode: InferenceMode) -> Regex:
         return opt(key_sym)
     if isinstance(r, (Epsilon, Empty)):
         return r
+    done = memo.get(r)
+    if done is not None:
+        return done
     if isinstance(r, Concat):
-        return concat(*(_project(item, typing, mode) for item in r.items))
-    if isinstance(r, Alt):
-        return alt(*(_project(item, typing, mode) for item in r.items))
-    if isinstance(r, Star):
-        return star(_project(r.item, typing, mode))
-    if isinstance(r, Plus):
-        return plus(_project(r.item, typing, mode))
-    if isinstance(r, Opt):
-        return opt(_project(r.item, typing, mode))
-    raise TypeError(f"unknown regex node {r!r}")
+        out = concat(*(_project(item, typing, mode, memo) for item in r.items))
+    elif isinstance(r, Alt):
+        out = alt(*(_project(item, typing, mode, memo) for item in r.items))
+    elif isinstance(r, Star):
+        out = star(_project(r.item, typing, mode, memo))
+    elif isinstance(r, Plus):
+        out = plus(_project(r.item, typing, mode, memo))
+    elif isinstance(r, Opt):
+        out = opt(_project(r.item, typing, mode, memo))
+    else:
+        raise TypeError(f"unknown regex node {r!r}")
+    memo[r] = out
+    return out
 
 
 def _extend(
@@ -208,7 +221,7 @@ def _infer_list_type(
         if not step_typing.feasible:
             return EPSILON
         ltype = _extend(ltype, result, dtd, prev_typing, mode)
-        ltype = _project(ltype, step_typing, mode)
+        ltype = _project(ltype, step_typing, mode, {})
         prev_typing = step_typing
 
     if mode is InferenceMode.PAPER:

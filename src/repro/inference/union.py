@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from ..dtd import Dtd, Pcdata, SpecializedDtd, TaggedName, prune_unreachable_sdtd
 from ..errors import QueryAnalysisError
-from ..regex import Regex, Sym, concat, rename
+from ..regex import Regex, Sym, concat, substitute
 from ..xmas import Query
 from .classify import Classification, InferenceMode
 from .collapse import collapse_equivalent
@@ -109,9 +109,9 @@ def infer_union_view_dtd(
             combined_types[target] = (
                 content
                 if isinstance(content, Pcdata)
-                else rename(content, remap)
+                else substitute(content, remap)
             )
-        branch_list_types.append(rename(list_type, remap))
+        branch_list_types.append(substitute(list_type, remap))
 
     view_key = (view_name, 0)
     combined_types[view_key] = concat(*branch_list_types)
@@ -146,7 +146,7 @@ def infer_union_view_dtd(
     )
     renamed_branches = [
         simplify_list_type(
-            rename(lt, {k: Sym(*v) for k, v in final.items()})
+            substitute(lt, {k: Sym(*v) for k, v in final.items()})
         )
         for lt in branch_list_types
     ]

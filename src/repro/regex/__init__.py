@@ -39,7 +39,6 @@ from .ast import (
     nullable,
     opt,
     plus,
-    rename,
     size,
     star,
     substitute,
@@ -104,7 +103,6 @@ __all__ = [
     "opt",
     "parse_regex",
     "plus",
-    "rename",
     "sample_word",
     "sample_word_uniform",
     "simplify",

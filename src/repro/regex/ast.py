@@ -485,65 +485,55 @@ def image(r: Regex) -> Regex:
 registry.register_lru("ast.image", image)
 
 
-def rename(r: Regex, mapping: Mapping[Letter, Sym]) -> Regex:
-    """Replace symbols of ``r`` according to ``mapping`` (key -> new symbol).
-
-    Symbols whose key is not in the mapping are kept unchanged.
-    Subtrees whose letter set is disjoint from the mapping's keys are
-    returned as-is (pointer-shared), not rebuilt.
-    """
-    if not mapping:
-        return r
-    keys = set(mapping.keys())
-
-    def walk(node: Regex) -> Regex:
-        if node.letters.isdisjoint(keys):
-            return node
-        if isinstance(node, Sym):
-            return mapping.get(node.key(), node)
-        if isinstance(node, Concat):
-            return concat(*(walk(i) for i in node.items))
-        if isinstance(node, Alt):
-            return alt(*(walk(i) for i in node.items))
-        if isinstance(node, Star):
-            return star(walk(node.item))
-        if isinstance(node, Plus):
-            return plus(walk(node.item))
-        if isinstance(node, Opt):
-            return opt(walk(node.item))
-        return node
-
-    return walk(r)
-
-
 def substitute(r: Regex, replacements: Mapping[Letter, Regex]) -> Regex:
     """Replace symbols of ``r`` by whole expressions.
 
     This implements the *one-level extension* substitution of
-    Definition 4.3: replacing a name by its (parenthesized) type.
+    Definition 4.3: replacing a name by its (parenthesized) type.  A
+    replacement may be a single :class:`Sym`, which renames it.
+
+    Symbols whose key is not replaced are kept unchanged, and subtrees
+    whose letter set is disjoint from the replaced keys are returned
+    as-is (pointer-shared), not rebuilt.  The walk visits each distinct
+    node of the (hash-consed, hence shared) input once: a memo local to
+    this call maps each rebuilt node to its result.
     """
     if not replacements:
         return r
-    keys = set(replacements.keys())
+    return _substitute(r, replacements, set(replacements), {})
 
-    def walk(node: Regex) -> Regex:
-        if node.letters.isdisjoint(keys):
-            return node
-        if isinstance(node, Sym):
-            return replacements.get(node.key(), node)
-        if isinstance(node, Concat):
-            return concat(*(walk(i) for i in node.items))
-        if isinstance(node, Alt):
-            return alt(*(walk(i) for i in node.items))
-        if isinstance(node, Star):
-            return star(walk(node.item))
-        if isinstance(node, Plus):
-            return plus(walk(node.item))
-        if isinstance(node, Opt):
-            return opt(walk(node.item))
+
+def _substitute(
+    node: Regex,
+    replacements: Mapping[Letter, Regex],
+    keys: set[Letter],
+    memo: dict[Regex, Regex],
+) -> Regex:
+    if node.letters.isdisjoint(keys):
         return node
-
-    return walk(r)
+    done = memo.get(node)
+    if done is not None:
+        return done
+    if isinstance(node, Sym):
+        out = replacements.get(node.key(), node)
+    elif isinstance(node, Concat):
+        out = concat(
+            *(_substitute(i, replacements, keys, memo) for i in node.items)
+        )
+    elif isinstance(node, Alt):
+        out = alt(
+            *(_substitute(i, replacements, keys, memo) for i in node.items)
+        )
+    elif isinstance(node, Star):
+        out = star(_substitute(node.item, replacements, keys, memo))
+    elif isinstance(node, Plus):
+        out = plus(_substitute(node.item, replacements, keys, memo))
+    elif isinstance(node, Opt):
+        out = opt(_substitute(node.item, replacements, keys, memo))
+    else:
+        out = node
+    memo[node] = out
+    return out
 
 
 def nullable(r: Regex) -> bool:

@@ -36,33 +36,41 @@ from .ast import (
 from .language import is_equivalent, is_subset
 
 
-def _rebuild(node: Regex) -> Regex:
-    """One bottom-up pass of local rewrites."""
+def _rebuild(node: Regex, memo: dict[Regex, Regex]) -> Regex:
+    """One bottom-up pass of local rewrites.
+
+    The pass is pure, so ``memo`` (owned by one :func:`simplify` call)
+    maps every node already rebuilt to its result and each distinct
+    node of the shared input is rebuilt once.
+    """
     if isinstance(node, (Sym, Epsilon, Empty)):
         return node
+    done = memo.get(node)
+    if done is not None:
+        return done
     if isinstance(node, Concat):
-        items = [_rebuild(i) for i in node.items]
-        items = _fuse_repetitions(items)
-        return concat(*items)
-    if isinstance(node, Alt):
-        items = [_rebuild(i) for i in node.items]
+        items = [_rebuild(i, memo) for i in node.items]
+        out = concat(*_fuse_repetitions(items))
+    elif isinstance(node, Alt):
+        items = [_rebuild(i, memo) for i in node.items]
         # epsilon | r  ==>  r?   (and drop further epsilons)
         if any(isinstance(i, Epsilon) for i in items):
             rest = [i for i in items if not isinstance(i, Epsilon)]
-            if not rest:
-                return Epsilon()
-            return opt(alt(*rest))
-        return alt(*items)
-    if isinstance(node, Star):
-        inner = _rebuild(node.item)
+            out = opt(alt(*rest)) if rest else Epsilon()
+        else:
+            out = alt(*items)
+    elif isinstance(node, Star):
+        inner = _rebuild(node.item, memo)
         # (r1? | r2)* == (r1 | r2)*: optionality inside a star is noise.
-        inner = _strip_nullability_markers(inner)
-        return star(inner)
-    if isinstance(node, Plus):
-        return plus(_rebuild(node.item))
-    if isinstance(node, Opt):
-        return opt(_rebuild(node.item))
-    raise TypeError(f"unknown regex node {node!r}")
+        out = star(_strip_nullability_markers(inner))
+    elif isinstance(node, Plus):
+        out = plus(_rebuild(node.item, memo))
+    elif isinstance(node, Opt):
+        out = opt(_rebuild(node.item, memo))
+    else:
+        raise TypeError(f"unknown regex node {node!r}")
+    memo[node] = out
+    return out
 
 
 def _strip_nullability_markers(node: Regex) -> Regex:
@@ -122,9 +130,10 @@ def _fuse_repetitions(items: list[Regex]) -> list[Regex]:
 
 def simplify(node: Regex) -> Regex:
     """Apply syntactic rewrites until a fixpoint."""
+    memo: dict[Regex, Regex] = {}  # shared by every round: the pass is pure
     current = node
     for _ in range(32):  # fixpoint guard; rewrites strictly shrink
-        rebuilt = _rebuild(current)
+        rebuilt = _rebuild(current, memo)
         if rebuilt == current:
             return current
         current = rebuilt
@@ -135,28 +144,39 @@ def prune_subsumed(node: Regex) -> Regex:
     """Drop alternation branches subsumed by their siblings (exact).
 
     Applied bottom-up; every drop is justified by a language-inclusion
-    test, so the result is equivalent to the input.
+    test, so the result is equivalent to the input.  Each distinct
+    node of the shared input is pruned once per call.
     """
+    return _prune_subsumed(node, {})
+
+
+def _prune_subsumed(node: Regex, memo: dict[Regex, Regex]) -> Regex:
     if isinstance(node, (Sym, Epsilon, Empty)):
         return node
+    done = memo.get(node)
+    if done is not None:
+        return done
     if isinstance(node, Concat):
-        return concat(*(prune_subsumed(i) for i in node.items))
-    if isinstance(node, Star):
-        return star(prune_subsumed(node.item))
-    if isinstance(node, Plus):
-        return plus(prune_subsumed(node.item))
-    if isinstance(node, Opt):
-        return opt(prune_subsumed(node.item))
-    if isinstance(node, Alt):
-        items = [prune_subsumed(i) for i in node.items]
+        out = concat(*(_prune_subsumed(i, memo) for i in node.items))
+    elif isinstance(node, Star):
+        out = star(_prune_subsumed(node.item, memo))
+    elif isinstance(node, Plus):
+        out = plus(_prune_subsumed(node.item, memo))
+    elif isinstance(node, Opt):
+        out = opt(_prune_subsumed(node.item, memo))
+    elif isinstance(node, Alt):
+        items = [_prune_subsumed(i, memo) for i in node.items]
         kept: list[Regex] = []
         for index, item in enumerate(items):
             others = kept + items[index + 1:]
             if others and is_subset(item, alt(*others)):
                 continue
             kept.append(item)
-        return alt(*kept)
-    raise TypeError(f"unknown regex node {node!r}")
+        out = alt(*kept)
+    else:
+        raise TypeError(f"unknown regex node {node!r}")
+    memo[node] = out
+    return out
 
 
 def simplify_deep(node: Regex) -> Regex:

@@ -14,6 +14,11 @@ independent formulations the property tests compare it against:
   iterated Brzozowski derivatives, against the Glushkov/DFA path of
   :func:`repro.regex.matches`: two engines built from different theory
   are unlikely to share a bug;
+* :func:`substitute_tree`, :func:`simplify_tree`,
+  :func:`prune_subsumed_tree` and :func:`project_tree` -- the inference
+  walks revisiting every shared subterm of a hash-consed regex, against
+  the library's walks, which visit each distinct node once per call
+  (:func:`tree_walks` runs the whole library on them);
 * :func:`index_verdict`, :func:`answer_intact` and :func:`matview_peek`
   -- freshness by scanning every element's last-edit stamp (what the
   per-element ``mutation_version`` fields held), against the bounded
@@ -27,18 +32,24 @@ falls back to it for plans it cannot project.
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.dtd import Pcdata, SpecializedDtd, TaggedName
+from repro.inference import listtype as _listtype
+from repro.inference.classify import InferenceMode
 from repro.inference.collapse import (
     _classes_to_result,
     _collapse_classes,
     _initial_classes,
     _rep_map,
 )
-from repro.regex import Regex, Sym, rename
+from repro.inference.listtype import _project
+from repro.inference.tighten import NodeTyping
+from repro.regex import Regex, Sym, is_subset, substitute
+from repro.regex import ast as _ast
 from repro.regex.ast import (
     EMPTY,
     EPSILON,
@@ -46,18 +57,26 @@ from repro.regex.ast import (
     Concat,
     Empty,
     Epsilon,
+    Letter,
     Opt,
     Plus,
     Star,
     alt,
     concat,
     nullable,
+    opt,
+    plus,
     star,
 )
 from repro.regex.dfa import product
 from repro.regex.language import _aligned
+from repro.regex.simplify import _fuse_repetitions, _strip_nullability_markers
 from repro.xmlmodel import element as _element
 from repro.xmlmodel.index import _structure_intact
+
+# ``repro.regex`` re-exports the function ``simplify`` under the
+# module's own name, so the module is fetched from the import system.
+_simplify = importlib.import_module("repro.regex.simplify")
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +108,7 @@ def _split_pairwise(
     for key in members:
         content = sdtd.types[key]
         if not isinstance(content, Pcdata):
-            content = rename(content, rep_map)
+            content = substitute(content, rep_map)
         for pivot, bucket in buckets:
             if isinstance(content, Pcdata) and isinstance(pivot, Pcdata):
                 bucket.append(key)
@@ -166,6 +185,141 @@ def matches_by_derivatives(regex: Regex, word: Sequence[Sym]) -> bool:
         if isinstance(current, Empty):
             return False
     return nullable(current)
+
+
+# ---------------------------------------------------------------------------
+# inference walks over the unfolded tree
+# ---------------------------------------------------------------------------
+
+
+def substitute_tree(r: Regex, replacements: Mapping[Letter, Regex]) -> Regex:
+    """:func:`repro.regex.substitute`, revisiting every shared subterm."""
+    if not replacements:
+        return r
+    keys = set(replacements)
+
+    def walk(node: Regex) -> Regex:
+        if node.letters.isdisjoint(keys):
+            return node
+        if isinstance(node, Sym):
+            return replacements.get(node.key(), node)
+        if isinstance(node, Concat):
+            return concat(*(walk(i) for i in node.items))
+        if isinstance(node, Alt):
+            return alt(*(walk(i) for i in node.items))
+        if isinstance(node, Star):
+            return star(walk(node.item))
+        if isinstance(node, Plus):
+            return plus(walk(node.item))
+        if isinstance(node, Opt):
+            return opt(walk(node.item))
+        return node
+
+    return walk(r)
+
+
+def rebuild_tree(node: Regex) -> Regex:
+    """One pass of :func:`repro.regex.simplify`'s rewrites, unmemoized."""
+    if isinstance(node, (Sym, Epsilon, Empty)):
+        return node
+    if isinstance(node, Concat):
+        items = [rebuild_tree(i) for i in node.items]
+        return concat(*_fuse_repetitions(items))
+    if isinstance(node, Alt):
+        items = [rebuild_tree(i) for i in node.items]
+        if any(isinstance(i, Epsilon) for i in items):
+            rest = [i for i in items if not isinstance(i, Epsilon)]
+            return opt(alt(*rest)) if rest else EPSILON
+        return alt(*items)
+    if isinstance(node, Star):
+        return star(_strip_nullability_markers(rebuild_tree(node.item)))
+    if isinstance(node, Plus):
+        return plus(rebuild_tree(node.item))
+    if isinstance(node, Opt):
+        return opt(rebuild_tree(node.item))
+    raise TypeError(f"unknown regex node {node!r}")
+
+
+def simplify_tree(node: Regex) -> Regex:
+    """:func:`repro.regex.simplify` over :func:`rebuild_tree`."""
+    current = node
+    for _ in range(32):
+        rebuilt = rebuild_tree(current)
+        if rebuilt == current:
+            return current
+        current = rebuilt
+    return current
+
+
+def prune_subsumed_tree(node: Regex) -> Regex:
+    """``prune_subsumed`` of :mod:`repro.regex.simplify`, unmemoized."""
+    if isinstance(node, (Sym, Epsilon, Empty)):
+        return node
+    if isinstance(node, Concat):
+        return concat(*(prune_subsumed_tree(i) for i in node.items))
+    if isinstance(node, Star):
+        return star(prune_subsumed_tree(node.item))
+    if isinstance(node, Plus):
+        return plus(prune_subsumed_tree(node.item))
+    if isinstance(node, Opt):
+        return opt(prune_subsumed_tree(node.item))
+    if isinstance(node, Alt):
+        items = [prune_subsumed_tree(i) for i in node.items]
+        kept: list[Regex] = []
+        for index, item in enumerate(items):
+            others = kept + items[index + 1:]
+            if others and is_subset(item, alt(*others)):
+                continue
+            kept.append(item)
+        return alt(*kept)
+    raise TypeError(f"unknown regex node {node!r}")
+
+
+def project_tree(r: Regex, typing: NodeTyping, mode: InferenceMode) -> Regex:
+    """The list-type ``_project`` (Appendix B), unmemoized.
+
+    A symbol still projects through the library's rule, which no memo
+    touches.
+    """
+    if isinstance(r, Sym):
+        return _project(r, typing, mode, {})
+    if isinstance(r, (Epsilon, Empty)):
+        return r
+    if isinstance(r, Concat):
+        return concat(*(project_tree(i, typing, mode) for i in r.items))
+    if isinstance(r, Alt):
+        return alt(*(project_tree(i, typing, mode) for i in r.items))
+    if isinstance(r, Star):
+        return star(project_tree(r.item, typing, mode))
+    if isinstance(r, Plus):
+        return plus(project_tree(r.item, typing, mode))
+    if isinstance(r, Opt):
+        return opt(project_tree(r.item, typing, mode))
+    raise TypeError(f"unknown regex node {r!r}")
+
+
+@contextmanager
+def tree_walks() -> Iterator[None]:
+    """Run the library with the walks above in place of its memoized ones.
+
+    Swaps the module-level workers that ``substitute``, ``simplify``,
+    ``prune_subsumed`` and the list-type inference recurse through, for
+    the duration.
+    """
+    swaps = [
+        (_ast, "_substitute", lambda r, repl, keys, memo: substitute_tree(r, repl)),
+        (_simplify, "_rebuild", lambda r, memo: rebuild_tree(r)),
+        (_simplify, "_prune_subsumed", lambda r, memo: prune_subsumed_tree(r)),
+        (_listtype, "_project", lambda r, typing, mode, memo: project_tree(r, typing, mode)),
+    ]
+    saved = [getattr(module, name) for module, name, _ in swaps]
+    for module, name, walk in swaps:
+        setattr(module, name, walk)
+    try:
+        yield
+    finally:
+        for (module, name, _), original in zip(swaps, saved):
+            setattr(module, name, original)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +424,6 @@ def matview_peek(cache, view_name, version: Version) -> str:
     ]
     if not dirty:
         return "hit"
-    if (
-        entry.spliceable
-        and len(dirty) == 1
-        and entry.legs[dirty[0].leg].delta_query is not None
-    ):
+    if entry.spliceable and len(dirty) == 1:
         return "delta"
     return "recompute"

@@ -21,7 +21,6 @@ from repro.regex import (
     nullable,
     opt,
     plus,
-    rename,
     size,
     star,
     substitute,
@@ -145,7 +144,7 @@ class TestQueries:
 
     def test_rename(self):
         r = concat(sym("a", 1), sym("b"))
-        renamed = rename(r, {("a", 1): Sym("a", 9)})
+        renamed = substitute(r, {("a", 1): Sym("a", 9)})
         assert renamed == concat(sym("a", 9), sym("b"))
 
     def test_substitute(self):
