@@ -170,17 +170,14 @@ def evaluate_union(
     """Evaluate a union view: branch picks concatenated in branch order.
 
     ``documents[i]`` is the document list of branch ``i``'s source.
+    Each branch's picks are the answer copies ``evaluate_many`` builds.
     """
-    from ..xmas import picked_elements
+    from ..xmas import evaluate_many
     from ..xmlmodel import Document, Element, fresh_id
 
-    picks = []
-    for branch, docs in zip(branches, documents):
-        for doc in docs:
-            picks.extend(picked_elements(branch.query, doc))
-    root = Element(
-        view_name,
-        [pick.deep_copy(fresh_ids=True) for pick in picks],
-        fresh_id(),
-    )
-    return Document(root)
+    picks = [
+        pick
+        for branch, docs in zip(branches, documents)
+        for pick in evaluate_many(branch.query, docs).root.children
+    ]
+    return Document(Element(view_name, picks, fresh_id()))

@@ -18,9 +18,10 @@ holding heterogeneous data plus structural metadata):
   on demand (enumeration fallback and validation only).
 * :class:`StoredDocumentIndex` -- satisfies the engine's index
   protocol (``labelled``, ``labelled_set``, plus the narrow accessors
-  ``name_at`` / ``pcdata_at`` / ``element_at``) with lazy row
-  hydration through a bounded page/LRU layer, so query memory is
-  O(working set), not O(corpus).
+  ``name_at`` / ``pcdata_at`` / ``element_at`` / ``copy_at``): PCDATA
+  probes read through a bounded page/LRU layer, so query memory is
+  O(working set), not O(corpus); picks are built from one key-range
+  read each.
 * :class:`StorePolicy` -- the page size and resident-page budget.
 
 Freshness extends the in-process mutation clock with an **on-disk

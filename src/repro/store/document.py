@@ -10,25 +10,30 @@ The split follows the index/payload line: the **structural skeleton**
 per element) loads once per live index as packed arrays, so candidate
 generation and structural joins run at plain-list speed; the
 **payload** (PCDATA text, element IDs, Appendix A attributes -- the
-bulk of a corpus) stays on disk and hydrates through the store's
-bounded page/LRU cache.  Trees materialize only for the final picks
-(:meth:`StoredDocumentIndex.element_at`, subtree-sized) or the
-engine's enumeration fallback (``.root``, document-sized, counted as a
-``hydration`` in the store's cache stats).
+bulk of a corpus) stays on disk.  PCDATA probes read it through the
+store's bounded page/LRU cache.  Trees materialize only for the final
+picks (:meth:`StoredDocumentIndex.copy_at`, subtree-sized, built
+straight into the answer with fresh IDs) or for ``.root``
+(document-sized: the enumeration fallback, validation, serialization;
+counted as a ``hydration`` in the store's cache stats).  Both read
+their preorder range with one primary-key range query, outside the
+page cache: a subtree is read once, so caching its rows would only
+evict the pages that probes reuse.
 """
 
 from __future__ import annotations
 
+import json
 from typing import TYPE_CHECKING
 
 from ..errors import StoreStaleError
-from ..xmlmodel.element import Document, Element
+from ..xmlmodel.element import Document, Element, fresh_id
 
 if TYPE_CHECKING:
     from .store import DocumentStore
 
-# payload row tuple layout produced by DocumentStore.page_rows
-_TEXT, _ELEM_ID, _ATTRS = range(3)
+# the PCDATA column of a DocumentStore.page_rows (text, elem_id, attrs) row
+_TEXT = 0
 
 
 class _Children:
@@ -68,8 +73,9 @@ class StoredDocumentIndex:
     Mirrors :class:`~repro.xmlmodel.index.DocumentIndex` -- ``parent``
     / ``end`` / ``depth`` / ``children`` positional arrays, label
     lists, interval scans -- with the skeleton resident (loaded packed
-    from the ``structure`` table at build time) and the payload
-    hydrated lazily through the store's page cache.  ``generation``
+    from the ``structure`` table at build time) and the payload read
+    lazily: PCDATA probes through the store's page cache, subtrees by
+    one key-range read each.  ``generation``
     records the store's on-disk counter at build time; :meth:`fresh_at`
     compares it against the live counter, which is what lets
     ``document_index`` trust an index across process restarts and
@@ -149,53 +155,46 @@ class StoredDocumentIndex:
         return self._row(pos)[_TEXT]
 
     def element_at(self, pos: int) -> Element:
-        """Hydrate the subtree rooted at ``pos`` (children-first).
+        """The subtree rooted at ``pos``, with its stored element IDs."""
+        return self._subtree(pos, fresh_ids=False)
 
-        The only place the projection path builds Elements: the picks
-        themselves.
+    def copy_at(self, pos: int) -> Element:
+        """The subtree rooted at ``pos`` as an answer copy: fresh IDs
+        in document order, as ``deep_copy(fresh_ids=True)`` assigns
+        them."""
+        return self._subtree(pos, fresh_ids=True)
+
+    def _subtree(self, pos: int, fresh_ids: bool) -> Element:
+        """Build the subtree at ``pos`` from one key-range read.
+
+        A subtree is the contiguous preorder range ``[pos, end[pos])``.
+        Preorder rows arrive parent-first, so each element appends
+        itself to its already-built parent.
         """
         stop = self.end[pos]
-        rows = self._rows_range(pos, stop)
-        names = self.names
-        children = self.children
-        copies: list[Element | None] = [None] * (stop - pos)
-        for offset in range(stop - pos - 1, -1, -1):
-            row = rows[offset]
-            text = row[_TEXT]
-            content: list[Element] | str
-            if text is not None:
-                content = text
-            else:
-                content = [
-                    copies[child - pos]  # type: ignore[misc]
-                    for child in children[pos + offset]
-                ]
-            element = Element(
-                names[pos + offset],
-                content,
-                row[_ELEM_ID],
-                dict(row[_ATTRS]) if row[_ATTRS] else {},
+        rows = self.store.range_rows(self.doc_id, pos, stop)
+        if len(rows) != stop - pos:
+            raise StoreStaleError(
+                f"elements {pos}..{stop - 1} of document {self.doc_id} "
+                f"are gone from {self.store.path!r} (removed by another "
+                "handle?)"
             )
-            copies[offset] = element
-        assert copies[0] is not None
-        return copies[0]
-
-    def _rows_range(self, start: int, stop: int) -> list[tuple]:
-        page_size = self._page_size
-        rows: list[tuple] = []
-        pos = start
-        while pos < stop:
-            page_no, offset = divmod(pos, page_size)
-            page = self.store.page_rows(self.doc_id, page_no)
-            chunk = page[offset : offset + (stop - pos)]
-            if not chunk:
-                raise StoreStaleError(
-                    f"element {pos} of document {self.doc_id} is gone "
-                    f"from {self.store.path!r}"
-                )
-            rows.extend(chunk)
-            pos += len(chunk)
-        return rows
+        names = self.names
+        parent = self.parent
+        built: list[Element] = []
+        for offset, (text, elem_id, attrs) in enumerate(rows):
+            at = pos + offset
+            element = Element(
+                names[at],
+                [] if text is None else text,
+                fresh_id() if fresh_ids else elem_id,
+                json.loads(attrs) if attrs else {},
+            )
+            if offset:
+                siblings = built[parent[at] - pos].content
+                siblings.append(element)  # type: ignore[union-attr]
+            built.append(element)
+        return built[0]
 
     def fresh_at(self, stamp: int) -> bool:
         """Stored rows never mutate in place; freshness is the counter."""
@@ -222,10 +221,11 @@ class StoredDocument(Document):
     ``document_index`` dispatches to :meth:`stored_index` (duck-typed),
     so the compiled engine runs on the stored arrays; anything that
     touches ``.root`` (the enumeration fallback, DTD validation,
-    serialization) hydrates the full tree *per access* and is counted
-    in the store's ``hydrations`` stat -- correctness fallback, not the
-    fast path.  Stored documents are immutable: edit by re-ingesting,
-    which bumps the generation counter and invalidates live indexes.
+    serialization) hydrates the full tree, with its stored IDs, *per
+    access* from one range read and is counted in the store's
+    ``hydrations`` stat -- correctness fallback, not the fast path.
+    Stored documents are immutable: edit by re-ingesting, which bumps
+    the generation counter and invalidates live indexes.
     """
 
     def __init__(
@@ -275,8 +275,9 @@ class StoredDocument(Document):
     def root(self) -> Element:  # type: ignore[override]
         """The fully hydrated tree (fallback path; see class docstring).
 
-        Hydrates on every access -- holding the result is the
-        caller's choice, the handle itself stays tree-free.
+        Hydrates on every access, outside the page cache -- holding
+        the result is the caller's choice, the handle itself stays
+        tree-free.
         """
         self.store.hydrations += 1
         return self.stored_index().element_at(0)

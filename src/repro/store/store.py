@@ -30,7 +30,12 @@ One file holds any number of documents as preorder arrays:
     engine's leaf lookups and interval scans run on.  Loaded with the
     skeleton (they are positions, skeleton-sized).
 
-Payload reads go through a **page cache**: rows are fetched
+Payload is read two ways.  A subtree -- an answer's pick, or a whole
+document for ``.root`` -- is one contiguous preorder range, read with
+one ``(doc_id, pos)`` primary-key range query
+(:meth:`DocumentStore.range_rows`) outside any cache, since its rows
+are built into elements once.
+PCDATA probes go through a **page cache**: rows are fetched
 ``policy.page_size`` at a time and at most ``policy.max_pages`` pages
 stay resident (LRU), so the payload memory of a query sweep is bounded
 by ``page_size * max_pages`` rows regardless of corpus size.  The
@@ -560,9 +565,9 @@ class DocumentStore:
     def page_rows(self, doc_id: int, page_no: int) -> list[tuple]:
         """The decoded payload rows of one page (cached, LRU-bounded).
 
-        Each row is ``(text, elem_id, attrs)`` with ``attrs`` already a
-        dict (or None) -- decode cost is paid once per page load, not
-        per access.
+        The PCDATA probes' read.  Each row is ``(text, elem_id,
+        attrs)`` with ``attrs`` already a dict (or None) -- decode cost
+        is paid once per page load, not per access.
         """
         key = (doc_id, page_no)
         cached = self._pages.get(key)
@@ -570,18 +575,29 @@ class DocumentStore:
             return cached
         size = self.policy.page_size
         start = page_no * size
-        with self._lock:
-            fetched = self._connection().execute(
-                "SELECT text, elem_id, attrs FROM elements "
-                "WHERE doc_id = ? AND pos >= ? AND pos < ? ORDER BY pos",
-                (doc_id, start, start + size),
-            ).fetchall()
+        fetched = self.range_rows(doc_id, start, start + size)
         rows = [
             (text, elem_id, json.loads(attrs) if attrs else None)
             for text, elem_id, attrs in fetched
         ]
         self._pages.put(key, rows)
         return rows
+
+    def range_rows(self, doc_id: int, start: int, stop: int) -> list[tuple]:
+        """The raw payload rows of positions ``[start, stop)``, uncached.
+
+        One ``elements (doc_id, pos)`` primary-key range scan.  Rows are
+        ``(text, elem_id, attrs)`` with ``attrs`` still the stored JSON
+        text (or None): the caller builds each row into an element
+        once, so decoding belongs there.  A short result means the rows
+        are gone; the caller decides how to report it.
+        """
+        with self._lock:
+            return self._connection().execute(
+                "SELECT text, elem_id, attrs FROM elements "
+                "WHERE doc_id = ? AND pos >= ? AND pos < ? ORDER BY pos",
+                (doc_id, start, stop),
+            ).fetchall()
 
     # -- cache registry ---------------------------------------------------
 

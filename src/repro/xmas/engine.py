@@ -553,25 +553,31 @@ class _PlanRun:
 
 
 def _picks(
-    query: Query, plan: CompiledPlan, document: Document
+    query: Query, plan: CompiledPlan, document: Document, copies: bool
 ) -> list[Element]:
     """One document's picks, in document order.
 
-    Non-projectable plans (see :class:`CompiledPlan`) fall back to the
-    matcher's full enumeration.
+    ``copies`` asks for answer copies (fresh IDs, built by the index:
+    a stored index builds each one straight from its rows) instead of
+    the document's own elements.  Non-projectable plans (see
+    :class:`CompiledPlan`) fall back to the matcher's full enumeration.
     """
     if not plan.projectable:
         registry.EVENTS["engine.fallback"] += 1
-        return legacy_picked_elements(query, document)
+        found = legacy_picked_elements(query, document)
+        if copies:
+            return [element.deep_copy(fresh_ids=True) for element in found]
+        return found
     registry.EVENTS["engine.projected"] += 1
     index = document_index(document)
     positions = _PlanRun(plan, index).picked_positions()
-    return [index.element_at(pos) for pos in positions]
+    read = index.copy_at if copies else index.element_at
+    return [read(pos) for pos in positions]
 
 
 def picked_elements(query: Query, document: Document) -> list[Element]:
     """Elements bound to the pick variable, document order, no repeats."""
-    return _picks(query, compile_query(query), document)
+    return _picks(query, compile_query(query), document, copies=False)
 
 
 def evaluate(query: Query, document: Document) -> Document:
@@ -597,7 +603,7 @@ def evaluate_many(query: Query, documents: list[Document]) -> Document:
         counts: list[int] = []
         picks: list[Element] = []
         for document in documents:
-            found = _picks(query, plan, document)
+            found = _picks(query, plan, document, copies=True)
             counts.append(len(found))
             picks.extend(found)
         sp.set_attribute("view", query.view_name)
@@ -607,11 +613,6 @@ def evaluate_many(query: Query, documents: list[Document]) -> Document:
         )
         sp.set_attribute("docs", len(documents))
         sp.set_attribute("picks", len(picks))
-        root = Element(
-            query.view_name,
-            [element.deep_copy(fresh_ids=True) for element in picks],
-            fresh_id(),
-        )
-        answer = Document(root)
+        answer = Document(Element(query.view_name, picks, fresh_id()))
         answer.pick_counts = tuple(counts)
         return answer

@@ -125,6 +125,10 @@ class DocumentIndex:
         """The :class:`Element` at a position (here: the indexed object)."""
         return self.order[pos]
 
+    def copy_at(self, pos: int) -> Element:
+        """The subtree at a position as an answer copy (fresh IDs)."""
+        return self.order[pos].deep_copy(fresh_ids=True)
+
     def changed_since(self, stamp: int) -> list[int] | None:
         """Positions of the indexed elements edited after ``stamp``.
 

@@ -170,6 +170,22 @@ class TestRemoveAndStaleness:
                 stored.stored_index()
             assert excinfo.value.code == "STO003"
 
+    def test_pick_read_after_removal_by_another_handle_is_sto003(
+        self, tmp_path
+    ):
+        """A pick's one range read that comes back short fails loudly
+        instead of returning a truncated subtree."""
+        path = tmp_path / "corpus.db"
+        with DocumentStore(path) as store, DocumentStore(path) as other:
+            stored = store.ingest_text(SAMPLE)
+            index = stored.stored_index()
+            first_paper = index.labelled("paper")[0]
+            other.remove_document(stored.doc_id)
+            for read in (index.copy_at, index.element_at):
+                with pytest.raises(StoreStaleError) as excinfo:
+                    read(first_paper)
+                assert excinfo.value.code == "STO003"
+
     def test_remove_bumps_generation(self):
         with DocumentStore(":memory:") as store:
             stored = store.ingest_text(SAMPLE)
@@ -481,6 +497,31 @@ class TestSourceIntegration:
             store.drop_caches()
             source.query(self._query())
             assert store.cache_info()["hydrations"] == 0
+
+    def test_projectable_query_reads_no_pages(self):
+        """Picks are read by one key range each, outside the page
+        cache: a projectable query without PCDATA conditions touches
+        no page and hydrates nothing, and its answer has the in-memory
+        answer's bytes."""
+        from repro.mediator import Source
+        from repro.xmas.engine import compile_query
+
+        schema, documents = self._corpus()
+        assert compile_query(self._query()).projectable
+        with DocumentStore(":memory:") as store:
+            for document in documents:
+                store.ingest_document(document, source="dept")
+            source = Source.from_store("dept", schema, store)
+            store.drop_caches()
+            answer = source.query(self._query())
+            info = store.cache_info()
+            assert info["page_hits"] + info["page_misses"] == 0
+            assert info["hydrations"] == 0
+        memory = Source("dept", schema, documents, validate=False)
+        assert answer.root.children
+        assert serialize_document(answer) == serialize_document(
+            memory.query(self._query())
+        )
 
     def test_cold_reopen_answers_without_hydrating(self, tmp_path):
         """A reopened file reads the arrays back instead of re-deriving

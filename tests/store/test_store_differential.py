@@ -77,14 +77,59 @@ def test_tiny_page_budget_changes_nothing(document):
 @settings(max_examples=60, deadline=None)
 @given(document=document_strategy(), query=eval_query_strategy())
 def test_queries_over_the_store_match_in_memory(document, query):
-    """End to end: evaluate_many over stored handles vs. real trees."""
-    from repro.xmas import evaluate_many
+    """End to end: evaluate_many over stored handles vs. real trees.
 
+    Beyond equal bytes: the stored answer's picks carry fresh IDs in
+    document order, and they are read outside the page cache -- only
+    PCDATA conditions probe pages, and nothing hydrates.
+    """
+    from repro.xmas import evaluate_many
+    from repro.xmas.engine import compile_query
+
+    plan = compile_query(query)
     with DocumentStore(":memory:") as store:
         stored = store.ingest_document(document)
+        stored_ids = {
+            row[1] for row in store.range_rows(stored.doc_id, 0, stored.size())
+        }
+        before = store.cache_info()
         stored_answer = evaluate_many(query, [stored])
+        after = store.cache_info()
         memory_answer = evaluate_many(query, [document])
-        assert stored_answer.root.structurally_equal(memory_answer.root)
+        assert serialize_document(stored_answer) == serialize_document(
+            memory_answer
+        )
+
+        ids = [
+            element.id
+            for pick in stored_answer.root.children
+            for element in pick.iter()
+        ]
+        assert not stored_ids & set(ids)
+        numbers = [int(element_id[1:]) for element_id in ids]
+        assert numbers == sorted(set(numbers))
+
+        if plan.projectable:
+            assert after["hydrations"] == before["hydrations"]
+            if all(node.pcdata is None for node in plan.nodes):
+                assert (
+                    after["page_hits"] + after["page_misses"]
+                    == before["page_hits"] + before["page_misses"]
+                )
+
+        # a PCDATA probe is the one read that goes through the cache
+        # (through a second handle, so the first index's one-page memo
+        # cannot answer it)
+        probe = store.document(stored.doc_id).stored_index()
+        last = len(probe) - 1
+        assert probe.pcdata_at(last) == document_index(document).pcdata_at(
+            last
+        )
+        probed = store.cache_info()
+        assert (
+            probed["page_hits"] + probed["page_misses"]
+            == after["page_hits"] + after["page_misses"] + 1
+        )
 
 
 @settings(max_examples=25, deadline=None)
