@@ -33,7 +33,7 @@ from ..inference import (
     InferenceResult,
     infer_view_dtd,
 )
-from ..xmas import CompiledPlan, Query, compile_query, evaluate_many
+from ..xmas import Query, compile_query, evaluate_many
 from ..xmlmodel import Document, Element, fresh_id
 from .matview import CacheLeg, MatViewCache, MatViewPolicy
 from .parallel import FanoutPolicy, ParallelTransport
@@ -51,14 +51,16 @@ from .transport import (
 
 @dataclass
 class ViewRegistration:
-    """A mediated view: its definition, source, inferred DTDs, and the
-    compiled execution plan (built once at registration, reused for
-    every materialization -- the serving hot path never recompiles)."""
+    """A mediated view: its definition, source and inferred DTDs.
+
+    The view's compiled plan belongs to ``query`` (see
+    :func:`~repro.xmas.engine.compile_query`): registration compiles
+    it once, and every materialization reuses it -- the serving hot
+    path never recompiles."""
 
     query: Query
     source_name: str
     inference: InferenceResult
-    plan: CompiledPlan | None = None
 
     @property
     def name(self) -> str:
@@ -305,9 +307,8 @@ class Mediator:
             sp.set_attribute("view", query.view_name)
             sp.set_attribute("source", target)
             inference = infer_view_dtd(source.dtd, query, self.mode)
-            registration = ViewRegistration(
-                query, target, inference, plan=compile_query(query)
-            )
+            compile_query(query)  # kept on the query for serving
+            registration = ViewRegistration(query, target, inference)
         self.views[query.view_name] = registration
         return registration
 
@@ -618,7 +619,7 @@ class Mediator:
                 UnionBranch(self.sources[query.source].dtd, query)
             )
             source_names.append(query.source)
-            compile_query(query)  # warm the plan cache for serving
+            compile_query(query)  # kept on the query for serving
         inference = infer_union_view_dtd(branches, view_name, self.mode)
         registration = UnionViewRegistration(
             view_name,

@@ -32,9 +32,6 @@ from ..xmlmodel.element import Document, Element, fresh_id
 if TYPE_CHECKING:
     from .store import DocumentStore
 
-# the PCDATA column of a DocumentStore.page_rows (text, elem_id, attrs) row
-_TEXT = 0
-
 
 class _Children:
     """``index.children[pos]`` computed from the ``end`` intervals.
@@ -96,7 +93,6 @@ class StoredDocumentIndex:
         "_labels",
         "_label_sets",
         "_page_size",
-        "_page_memo",
     )
 
     def __init__(
@@ -119,32 +115,9 @@ class StoredDocumentIndex:
         self._labels = store.labels_for(doc_id)
         self._label_sets: dict[str, frozenset] = {}
         self._page_size = store.policy.page_size
-        # (page_no, rows) of the payload page touched last: PCDATA
-        # probes are overwhelmingly sequential, so this one-tuple memo
-        # answers most row reads without taking the shared LRU's lock.
-        # One extra resident page per live index; replaced atomically,
-        # so racing readers at worst re-fetch.
-        self._page_memo: tuple[int, list] | None = None
 
     def __len__(self) -> int:
         return self.n
-
-    def _row(self, pos: int) -> tuple:
-        if not 0 <= pos < self.n:
-            raise IndexError(pos)
-        page_no, offset = divmod(pos, self._page_size)
-        memo = self._page_memo
-        if memo is not None and memo[0] == page_no:
-            rows = memo[1]
-        else:
-            rows = self.store.page_rows(self.doc_id, page_no)
-            self._page_memo = (page_no, rows)
-        if offset >= len(rows):
-            raise StoreStaleError(
-                f"element {pos} of document {self.doc_id} is gone from "
-                f"{self.store.path!r} (removed by another handle?)"
-            )
-        return rows[offset]
 
     # -- narrow accessors ------------------------------------------------
 
@@ -152,7 +125,18 @@ class StoredDocumentIndex:
         return self.names[pos]
 
     def pcdata_at(self, pos: int) -> str | None:
-        return self._row(pos)[_TEXT]
+        """The PCDATA at ``pos``, read through the store's page cache
+        (every probe counts there as a page hit or miss)."""
+        if not 0 <= pos < self.n:
+            raise IndexError(pos)
+        page_no, offset = divmod(pos, self._page_size)
+        texts = self.store.page_rows(self.doc_id, page_no)
+        if offset >= len(texts):
+            raise StoreStaleError(
+                f"element {pos} of document {self.doc_id} is gone from "
+                f"{self.store.path!r} (removed by another handle?)"
+            )
+        return texts[offset]
 
     def element_at(self, pos: int) -> Element:
         """The subtree rooted at ``pos``, with its stored element IDs."""

@@ -562,12 +562,11 @@ class DocumentStore:
             ).fetchall()
         return {name: list(_unpack(blob)) for name, blob in rows}
 
-    def page_rows(self, doc_id: int, page_no: int) -> list[tuple]:
-        """The decoded payload rows of one page (cached, LRU-bounded).
+    def page_rows(self, doc_id: int, page_no: int) -> list[str | None]:
+        """The PCDATA column of one page's rows (cached, LRU-bounded).
 
-        The PCDATA probes' read.  Each row is ``(text, elem_id,
-        attrs)`` with ``attrs`` already a dict (or None) -- decode cost
-        is paid once per page load, not per access.
+        The PCDATA probes' read, so a page keeps only the text of each
+        row (None for element content), in position order.
         """
         key = (doc_id, page_no)
         cached = self._pages.get(key)
@@ -575,13 +574,10 @@ class DocumentStore:
             return cached
         size = self.policy.page_size
         start = page_no * size
-        fetched = self.range_rows(doc_id, start, start + size)
-        rows = [
-            (text, elem_id, json.loads(attrs) if attrs else None)
-            for text, elem_id, attrs in fetched
-        ]
-        self._pages.put(key, rows)
-        return rows
+        rows = self.range_rows(doc_id, start, start + size)
+        texts = [row[0] for row in rows]
+        self._pages.put(key, texts)
+        return texts
 
     def range_rows(self, doc_id: int, start: int, stop: int) -> list[tuple]:
         """The raw payload rows of positions ``[start, stop)``, uncached.

@@ -127,6 +127,8 @@ class Query:
     ``AND v1 != v2`` (ID inequality, the only negation in the
     language).  ``source`` optionally names the source the condition
     applies to (used by the mediator; inference only needs the DTD).
+    :func:`repro.xmas.engine.compile_query` keeps the query's compiled
+    plan on the query object itself, outside the compared fields.
     """
 
     view_name: str

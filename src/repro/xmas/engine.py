@@ -4,8 +4,9 @@ Pick-element semantics (Section 2.1) only need the set of elements
 bound to the pick variable, not every complete binding environment
 that the backtracking matcher (:mod:`repro.xmas.evaluator`)
 enumerates.  This module compiles a :class:`~repro.xmas.ast.Query`
-once -- at mediator view registration -- into a :class:`CompiledPlan`
-and evaluates it by **pick-projection** over a
+into a :class:`CompiledPlan` -- once per query object, kept on that
+object (a registered view's query compiles at registration) -- and
+evaluates it by **pick-projection** over a
 :class:`~repro.xmlmodel.index.DocumentIndex`:
 
 1. *Compilation* numbers the condition nodes in preorder, precomputes
@@ -45,14 +46,13 @@ included).  Since the answer is those picks concatenated, the counts
 locate each document's slice of it; the materialized-view cache
 (:mod:`repro.mediator.matview`) splices per-document deltas by them.
 
-The plan cache registers with the :mod:`repro.obs.registry`,
-so ``clear_caches()`` / ``kernel_stats()`` / CLI ``--stats`` cover it
-alongside the language kernel's caches.
+A plan belongs to its query: there is no process-wide plan table, so
+an ad-hoc query and its plan are freed together, and ``clear_caches()``
+does not touch plans.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .. import obs
@@ -101,7 +101,7 @@ class CompiledPlan:
     tests).
     """
 
-    query: Query
+    view_name: str
     nodes: tuple[PlanNode, ...]
     pick_path: tuple[int, ...]
     projectable: bool
@@ -109,7 +109,7 @@ class CompiledPlan:
 
     def describe(self) -> str:
         lines = [
-            f"plan for view {self.query.view_name!r}:"
+            f"plan for view {self.view_name!r}:"
             f" {len(self.nodes)} condition nodes",
             f"  strategy: {'pick-projection' if self.projectable else 'enumeration'}",
         ]
@@ -204,7 +204,7 @@ def _compile(query: Query) -> CompiledPlan:
             cursor = parents[cursor]
         path.reverse()
     return CompiledPlan(
-        query=query,
+        view_name=query.view_name,
         nodes=tuple(nodes),
         pick_path=tuple(path),
         projectable=projectable,
@@ -212,46 +212,17 @@ def _compile(query: Query) -> CompiledPlan:
     )
 
 
-_PLAN_CACHE: dict[Query, CompiledPlan] = {}
-# Parallel fan-out legs compile/probe plans concurrently; the lock
-# keeps the hit/miss counters exact and the cache single-writer (a
-# plan is compiled at most once per query object even under races).
-_PLAN_LOCK = threading.Lock()
-_plan_hits = 0
-_plan_misses = 0
-
-
-def _clear_plan_cache() -> None:
-    global _plan_hits, _plan_misses
-    with _PLAN_LOCK:
-        _PLAN_CACHE.clear()
-        _plan_hits = 0
-        _plan_misses = 0
-
-
-registry.register_cache(
-    "engine.plans",
-    _clear_plan_cache,
-    lambda: {
-        "hits": _plan_hits,
-        "misses": _plan_misses,
-        "size": len(_PLAN_CACHE),
-    },
-)
-
-
 def compile_query(query: Query) -> CompiledPlan:
-    """Compile a query (cached: repeat compilations are a dict probe)."""
-    global _plan_hits, _plan_misses
-    with _PLAN_LOCK:
-        plan = _PLAN_CACHE.get(query)
-        if plan is not None:
-            _plan_hits += 1
-            return plan
-        _plan_misses += 1
-    # Compile outside the lock (compilation can be slow; plans for one
-    # query are identical, so a racing duplicate compile is harmless —
-    # last writer wins and both callers hold equivalent plans).
+    """The query's plan, compiled on the query's first use.
+
+    The plan is kept on the query object itself, so it lives exactly
+    as long as the query and travels wherever the query goes.  Plans
+    for one query are equal, so a racing duplicate compile is harmless:
+    the last writer wins and both callers hold equivalent plans.
+    """
+    plan = query.__dict__.get("_plan")
+    if plan is not None:
+        return plan
     with obs.span("engine.compile") as sp:
         sp.set_attribute("view", query.view_name)
         plan = _compile(query)
@@ -260,8 +231,7 @@ def compile_query(query: Query) -> CompiledPlan:
             "strategy",
             "pick-projection" if plan.projectable else "enumeration",
         )
-    with _PLAN_LOCK:
-        _PLAN_CACHE[query] = plan
+    object.__setattr__(query, "_plan", plan)
     return plan
 
 

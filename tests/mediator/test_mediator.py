@@ -64,14 +64,20 @@ class TestMediator:
         assert registration.dtd.root == "withJournals"
         assert ("withJournals", 0) in registration.sdtd.types
 
-    def test_register_compiles_plan(self, mediator):
-        from repro.xmas import compile_query
+    def test_register_compiles_plan(self, mediator, monkeypatch):
+        from repro.xmas import compile_query, engine
 
+        compiled = []
+        real = engine._compile
+        monkeypatch.setattr(
+            engine, "_compile", lambda q: compiled.append(q) or real(q)
+        )
         registration = mediator.register_view(q2(), "dept")
-        assert registration.plan is not None
-        assert registration.plan.projectable
-        # the cached plan is the one the serving path will fetch
-        assert compile_query(q2()) is registration.plan
+        assert compiled == [registration.query]
+        # the plan stays on the view's query: serving never recompiles
+        mediator.materialize(registration.name)
+        assert compile_query(registration.query).projectable
+        assert len(compiled) == 1
 
     def test_source_warm_indexes(self, dept_source):
         from repro.xmlmodel import document_index

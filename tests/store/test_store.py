@@ -350,6 +350,29 @@ class TestPageCache:
             assert info["page_misses"] == misses
             assert info["page_hits"] >= 1
 
+    def test_every_repeat_probe_counts_as_a_page_hit(self):
+        from repro.obs import kernel_stats
+
+        with DocumentStore(":memory:") as store:
+            index = store.ingest_text(SAMPLE).stored_index()
+            assert index.pcdata_at(2) == "caching"
+            info = store.cache_info()
+            assert (info["page_hits"], info["page_misses"]) == (0, 1)
+            section = kernel_stats()["caches"]["store.pages"]
+            assert index.pcdata_at(2) == "caching"
+            assert store.cache_info()["page_hits"] == 1
+            after = kernel_stats()["caches"]["store.pages"]
+            assert after["page_hits"] == section["page_hits"] + 1
+            assert after["page_misses"] == section["page_misses"]
+
+    def test_a_page_keeps_only_the_probed_text(self):
+        with DocumentStore(":memory:") as store:
+            stored = store.ingest_text(SAMPLE)
+            texts = store.page_rows(stored.doc_id, 0)
+            oracle = document_index(sample_document())
+            assert texts == [oracle.pcdata_at(pos) for pos in range(len(oracle))]
+            assert store.cache_info()["resident_rows"] == len(oracle)
+
     def test_drop_caches_and_kernel_registry(self):
         from repro.obs import clear_caches, kernel_stats
 

@@ -162,8 +162,8 @@ class TestEvaluateValidate:
             == 0
         )
         err = capsys.readouterr().err
-        assert "engine.plans" in err
         assert "engine.doc_index" in err
+        assert "engine.plans" not in err
 
     def test_validate_ok(self, files, capsys):
         assert main(["validate", "--dtd", files["dtd"], files["doc"]]) == 0

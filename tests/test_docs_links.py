@@ -132,9 +132,9 @@ class TestChecker:
         names = sorted(
             {*registry.registered_caches(), *registry.registered_sections()}
         )
-        assert "engine.plans" in names and "matview" in names
+        assert "engine.doc_index" in names and "matview" in names
         rows = [f"| `{name}` | registered |" for name in names]
-        rows.remove("| `engine.plans` | registered |")
+        rows.remove("| `engine.doc_index` | registered |")
         (tmp_path / "docs").mkdir()
         (tmp_path / "docs" / "OBSERVABILITY.md").write_text(
             "## Stats catalogue\n\n| name | counts |\n|---|---|\n"
@@ -145,7 +145,7 @@ class TestChecker:
         )
         problems = checker.check_stats_catalogue()
         assert problems == [
-            "docs/OBSERVABILITY.md: registered stats name engine.plans "
+            "docs/OBSERVABILITY.md: registered stats name engine.doc_index "
             "is not in the stats catalogue",
             f"docs/OBSERVABILITY.md:{len(rows) + 5}: catalogued stats "
             "name gone.cache is not registered",

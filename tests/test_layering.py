@@ -185,3 +185,68 @@ def test_no_module_level_side_tables():
             if called in SIDE_TABLE_FACTORIES:
                 found.update((module_name(path), name) for name in names)
     assert found == SIDE_TABLES
+
+
+#: every module-level table ``src/repro`` starts empty and fills as the
+#: process runs, with the reason it is process-wide; a new one needs a
+#: deliberate entry here
+PROCESS_TABLES = {
+    ("repro.errors", "DIAGNOSTIC_CODES"): "diagnostic code catalogue",
+    ("repro.lint.registry", "_REGISTRY"): "lint rule catalogue",
+    ("repro.obs.registry", "_CACHES"): "stats registry: caches",
+    ("repro.obs.registry", "_SECTIONS"): "stats registry: sections",
+    ("repro.obs.registry", "_INTERN_SIZES"): "stats registry: intern sizes",
+    ("repro.obs.registry", "EVENTS"): "stats registry: decision counters",
+    ("repro.obs.registry", "INTERN_HITS"): "stats registry: intern hits",
+    ("repro.obs.registry", "INTERN_MISSES"): "stats registry: intern misses",
+    ("repro.regex.language", "_SIGNATURES"): "one object per signature",
+    ("repro.regex.language", "_EQUIV_PARENT"): "proven-equivalence union-find",
+    ("repro.mediator.matview", "_LIVE_CACHES"): "weak: live caches, for stats",
+    ("repro.mediator.sharding", "_LIVE_SHARDED"): "weak: live sources, for stats",
+    ("repro.store.store", "_LIVE_STORES"): "weak: live stores, for stats",
+    ("repro.xmlmodel.index", "_INDEX_CACHE"): "weak: an index per document",
+    ("repro.xmlmodel.element", "_journal"): "the bounded mutation journal",
+}
+CONTAINER_FACTORIES = {
+    "dict",
+    "set",
+    "list",
+    "OrderedDict",
+    "defaultdict",
+    "Counter",
+    "deque",
+    "WeakSet",
+    "WeakKeyDictionary",
+    "WeakValueDictionary",
+}
+
+
+def starts_empty(value: ast.AST) -> bool:
+    """Is ``value`` an empty container literal or factory call?"""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    if isinstance(value, (ast.List, ast.Set)):
+        return not value.elts
+    if not isinstance(value, ast.Call):
+        return False
+    func = value.func
+    called = getattr(func, "attr", None) or getattr(func, "id", "")
+    # ``defaultdict(list)`` and ``deque(maxlen=N)`` start empty too
+    positional = value.args[1:] if called == "defaultdict" else value.args
+    return called in CONTAINER_FACTORIES and not positional
+
+
+def test_every_process_wide_table_is_accounted_for():
+    # A query's plan, an answer's provenance and the like belong to the
+    # object they describe; a module-level table keyed by such objects
+    # grows with every distinct one the process sees.
+    found = {
+        (module_name(path), name)
+        for path in modules()
+        for names, value in module_level_assignments(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+        if starts_empty(value)
+        for name in names
+    }
+    assert found == set(PROCESS_TABLES)

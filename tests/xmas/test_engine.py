@@ -103,13 +103,19 @@ class TestCompilation:
         assert "pick-projection" in plan.describe()
 
     def test_plan_cache_idempotent(self):
-        clear_caches()
+        # A plan belongs to its query object: it compiles once, an equal
+        # but distinct query compiles its own equal plan, and clearing
+        # the process-wide caches leaves plans alone.
         q = parse_query("v = SELECT P WHERE P:<a/>")
         first = compile_query(q)
         assert compile_query(q) is first
+        twin = parse_query("v = SELECT P WHERE P:<a/>")
+        assert twin == q and twin is not q
+        other = compile_query(twin)
+        assert other is not first and other == first
         clear_caches()
-        again = compile_query(q)
-        assert again is not first and again == first
+        assert compile_query(q) is first
+        assert "engine.plans" not in kernel_stats()["caches"]
 
     def test_repeated_variable_falls_back(self):
         root = cond(
