@@ -170,6 +170,8 @@ def _apply(op, pick, mediator, documents, unrelated):
         leaves[pick % len(leaves)].set_text(f"t{pick}")
     elif op == "set_attribute":
         elements[pick % len(elements)].set_attribute("k", str(pick))
+    elif op in ("append_child", "insert_child") and not inner:
+        pass  # set_text can turn the last element node into PCDATA
     elif op == "append_child":
         inner[pick % len(inner)].append_child(
             elem("publication", text_elem("title", f"a{pick}"),
@@ -183,7 +185,7 @@ def _apply(op, pick, mediator, documents, unrelated):
             parent = parents[pick % len(parents)]
             parent.remove_child(parent.children[pick % len(parent.children)])
     elif op == "set_content":
-        if pick % 2:
+        if pick % 2 or not inner:
             leaves[pick % len(leaves)].set_content(f"c{pick}")
         else:
             target = inner[pick % len(inner)]
