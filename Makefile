@@ -98,9 +98,9 @@ store-smoke:
 	python scripts/store_smoke.py
 
 # Default local gate: unit tests, static+workload lint, docs links,
-# benchmark smoke, the benchmark's own tests, trace smoke, serve
-# smoke, matview smoke, store smoke.
-check: test lint check-docs bench-smoke perfbench-test trace-smoke serve-smoke matview-smoke store-smoke
+# benchmark smoke, the benchmark's own tests, every example, trace
+# smoke, serve smoke, matview smoke, store smoke.
+check: test lint check-docs bench-smoke perfbench-test examples trace-smoke serve-smoke matview-smoke store-smoke
 
 verify: test bench examples
 

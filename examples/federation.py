@@ -18,6 +18,7 @@ Run:  python examples/federation.py
 """
 
 import random
+from dataclasses import replace
 
 from repro import Mediator, Source, to_string
 from repro.dtd import RepairStatus, dtd, generate_document, serialize_dtd
@@ -123,11 +124,16 @@ def main() -> None:
     print("=" * 72)
     print("Query composition against a single-source view")
     print("=" * 72)
-    mediator.register_view(uni_query, "university")
-    client = parse_query(
-        "titles = SELECT T WHERE <journals> <publication> T:<title/> </> </>"
+    # the union already exports "journals": the university-only view
+    # needs a name of its own
+    mediator.register_view(
+        replace(uni_query, view_name="uniJournals"), "university"
     )
-    answer = mediator.query_view(client, "journals", use_simplifier=False)
+    client = parse_query(
+        "titles = SELECT T WHERE <uniJournals> <publication> T:<title/> "
+        "</> </>"
+    )
+    answer = mediator.query_view(client, "uniJournals", use_simplifier=False)
     print(f"client query answered with {len(answer.root.children)} titles; "
           f"{mediator.stats.composed} of {mediator.stats.queries} queries "
           "were rewritten to run directly on the source")

@@ -120,7 +120,12 @@ def _cmd_ask(args: argparse.Namespace) -> int:
         print(mediator.last_degradation.describe(), file=sys.stderr)
     if args.explain:
         print(
-            mediator.explain(client_query, registration.name).describe(),
+            mediator.explain(
+                client_query,
+                registration.name,
+                use_simplifier=not args.no_simplifier,
+                strategy=args.strategy,
+            ).describe(),
             file=sys.stderr,
         )
     if getattr(args, "stats", False):

@@ -18,7 +18,7 @@ Components, by paper section:
 * :mod:`repro.inference.quality` -- empirical soundness and tightness.
 """
 
-from .classify import Classification, InferenceMode
+from .classify import Classification, InferenceMode, anchored_classification
 from .collapse import collapse_equivalent, collapse_result, compute_equivalence
 from .construct import ConstructInferenceResult, infer_construct_view_dtd
 from .listtype import infer_list_type
@@ -65,6 +65,7 @@ __all__ = [
     "TightenResult",
     "UnionBranch",
     "UnionInferenceResult",
+    "anchored_classification",
     "check_soundness",
     "evaluate_union",
     "collapse_equivalent",

@@ -13,6 +13,11 @@ DTD, whether the condition is
 from __future__ import annotations
 
 import enum
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from ..dtd import Dtd
+    from .tighten import TightenResult
 
 
 class Classification(enum.Enum):
@@ -38,6 +43,19 @@ class Classification(enum.Enum):
     @property
     def is_satisfiable(self) -> bool:
         return self is not Classification.UNSATISFIABLE
+
+
+def anchored_classification(result: "TightenResult", dtd: "Dtd") -> Classification:
+    """The verdict on a whole query: Tighten's, anchored at the root.
+
+    The condition tree is anchored at the document root, so a root test
+    that cannot match the document type is unsatisfiable even when its
+    names exist elsewhere in the DTD.  The query simplifier and the
+    lint rules both decide with this one function.
+    """
+    if dtd.root is not None and dtd.root not in result.root.keys:
+        return Classification.UNSATISFIABLE
+    return result.classification
 
 
 class InferenceMode(enum.Enum):

@@ -12,9 +12,10 @@ Three integration layers:
 
 * the ``repro lint`` CLI command (:mod:`repro.cli`), nonzero exit
   exactly when an error-severity finding is present;
-* the mediator pre-flight (:meth:`repro.mediator.Mediator.preflight`),
-  which short-circuits provably-empty queries before any source
-  fan-out;
+* :meth:`repro.mediator.Mediator.preflight`, the lint report of a
+  query against a view DTD (its ``MIX101`` error is exactly the
+  simplifier verdict on which the mediator answers without a source
+  fan-out);
 * the inference pipeline
   (:meth:`repro.inference.InferenceResult.diagnostics`), attaching
   findings to every inferred view DTD.

@@ -18,8 +18,9 @@ from typing import Any, Iterable, Iterator
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings make ``repro lint`` exit nonzero and make the
-    mediator pre-flight reject a query; warnings and infos are advice.
+    ``ERROR`` findings make ``repro lint`` exit nonzero (a ``MIX101``
+    query is one the mediator answers empty without a source fan-out);
+    warnings and infos are advice.
     """
 
     ERROR = "error"

@@ -1,7 +1,7 @@
 """The lint driver: select rules, run them, collect a report.
 
 :func:`run_lint` is the programmatic entry point; the CLI's ``repro
-lint``, the mediator pre-flight, and the inference pipeline all go
+lint``, ``Mediator.preflight``, and the inference pipeline all go
 through it.  Rule selection takes exact codes or prefixes (``MIX``
 selects every query rule), mirroring familiar linters.
 """
@@ -47,11 +47,10 @@ def run_lint(
     Inputs are all optional; a rule runs when the inputs its scope
     needs are present (query rules additionally need the DTD to check
     against).  ``select``/``ignore`` filter by code or code prefix;
-    ``scopes`` restricts to rule scopes (the pre-flight runs only
+    ``scopes`` restricts to rule scopes (:func:`lint_query` runs only
     ``{"query"}``).  ``cache`` may be a caller-owned dict: shared
     analyses (the Tighten run) land in it, so callers can reuse them
-    after the lint pass -- the mediator feeds the cached tightening
-    straight into the query simplifier.
+    after the lint pass.
     """
     ctx = LintContext(
         dtd=dtd,
@@ -92,11 +91,10 @@ def lint_query(
     query_text: str | None = None,
     origin: str = "",
 ) -> DiagnosticReport:
-    """Pre-flight form: only query-scope rules, no DTD re-audit.
+    """Query form: only query-scope rules, no DTD re-audit.
 
-    This is what the mediator runs before fanning a query out to
-    sources -- it must stay cheap (one uncollapsed Tighten run, shared
-    via ``cache``).
+    This is the report ``Mediator.preflight`` returns.  It stays cheap:
+    one uncollapsed Tighten run, shared by every rule via ``cache``.
     """
     return run_lint(
         dtd=dtd,

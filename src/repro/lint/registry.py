@@ -8,8 +8,7 @@ time; :func:`repro.lint.engine.run_lint` selects the applicable ones.
 
 The :class:`LintContext` carries the inputs of one run plus a shared
 cache so expensive analyses (one Tighten run per query) are computed
-once and reused by every rule -- and can be handed onward to the
-mediator's query simplifier, making the pre-flight effectively free.
+once and reused by every rule.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The load-bearing analyses come straight from the inference layer: one
 (uncollapsed) run of Algorithm Tighten per query classifies every
 condition node as valid / satisfiable / unsatisfiable (Section 4.2's
 side effect), and the lint rules turn that into findings -- a
-provably-empty query is an *error* (the mediator pre-flight
-short-circuits it), an always-true sub-condition is a simplification
+provably-empty query is an *error* (the mediator's simplifier answers
+it on the same verdict without a fan-out), an always-true sub-condition is a simplification
 hint, recursion and wildcard blowup are scope/cost warnings.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..inference.classify import Classification
+from ..inference.classify import Classification, anchored_classification
 from ..xmas.analysis import has_recursive_steps
 from ..xmas.ast import Condition, Query
 from .diagnostics import Diagnostic, Severity
@@ -29,22 +29,20 @@ def _span_for(ctx: LintContext, root: Condition, node: Condition):
 
 
 def query_classification(ctx: LintContext) -> Classification | None:
-    """The overall verdict, shared across rules (and the pre-flight).
+    """The overall verdict, shared across rules.
 
-    Combines the Tighten side effect with the root-anchoring check of
-    the query simplifier: a root test that cannot match the document
-    type is unsatisfiable even when its names occur deeper in the DTD.
-    ``None`` when the query is outside the pick-element class.
+    The query simplifier's own verdict
+    (:func:`~repro.inference.classify.anchored_classification`), so
+    ``MIX101`` fires exactly when the mediator answers empty.  ``None``
+    when the query is outside the pick-element class.
     """
     if "classification" in ctx.cache:
         return ctx.cache["classification"]
     result = ctx.tightening()
     verdict: Classification | None = None
     if result is not None:
-        verdict = result.classification
         assert ctx.dtd is not None
-        if ctx.dtd.root is not None and ctx.dtd.root not in result.root.keys:
-            verdict = Classification.UNSATISFIABLE
+        verdict = anchored_classification(result, ctx.dtd)
     ctx.cache["classification"] = verdict
     return verdict
 

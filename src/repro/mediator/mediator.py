@@ -37,7 +37,7 @@ from ..xmas import Query, compile_query, evaluate_many
 from ..xmlmodel import Document, Element, fresh_id
 from .matview import CacheLeg, MatViewCache, MatViewPolicy
 from .parallel import FanoutPolicy, ParallelTransport
-from .simplifier import SimplifierDecision, simplify_query
+from .simplifier import simplify_query
 from .source import Source
 from .transport import (
     Clock,
@@ -333,29 +333,19 @@ class Mediator:
             registration.source_name, registration.query, deadline
         )
 
-    def preflight(
-        self, query: Query, view_name: str, cache: dict | None = None
-    ):
-        """Static pre-flight: lint a query against the view DTD.
+    def preflight(self, query: Query, view_name: str):
+        """Lint a query against the view DTD, for inspection.
 
-        Runs the query-scope lint rules (one uncollapsed Tighten run)
-        and returns the :class:`~repro.lint.DiagnosticReport`.  An
-        error-severity finding (a provably-empty ``MIX101`` dead path)
-        means the mediator can answer without any source fan-out.  The
-        run fills the caller's ``cache`` (as ``lint_query(cache=)``
-        does), so :meth:`query_view` hands the same Tighten result to
-        the simplifier -- pre-flight plus simplification cost one
-        classification, not two.
+        Runs the query-scope lint rules and returns the
+        :class:`~repro.lint.DiagnosticReport`.  ``MIX101`` (an error)
+        is reported exactly when :meth:`query_view` would answer with
+        the empty view without any source fan-out: both decide with the
+        simplifier's one classification.  Answering never runs lint.
         """
         from ..lint import lint_query
 
         registration = self._view(view_name)
-        return lint_query(
-            query,
-            registration.dtd,
-            mode=self.mode,
-            cache=cache if cache is not None else {},
-        )
+        return lint_query(query, registration.dtd, mode=self.mode)
 
     def query_view(
         self,
@@ -368,10 +358,10 @@ class Mediator:
     ) -> Document:
         """Answer a query posed against a mediated view.
 
-        With the simplifier on, the view DTD is consulted first: the
-        static pre-flight rejects unsatisfiable queries with the empty
-        view without materializing anything (recording the skipped
-        fan-out), and valid sub-conditions are pruned.
+        With the simplifier on, the query is classified against the
+        view DTD first: an unsatisfiable query is answered with the
+        empty view without materializing anything (recording the
+        skipped fan-out), and valid sub-conditions are pruned.
         ``use_simplifier=False`` measures the un-assisted path.
 
         ``strategy`` selects the execution plan:
@@ -381,6 +371,9 @@ class Mediator:
           TSIMMIS rewriting step of Section 1), otherwise materialize;
         * ``"compose"`` -- composition only; raises when not composable;
         * ``"materialize"`` -- always evaluate over the materialized view.
+
+        :meth:`explain` reports the plan this method runs for the same
+        ``use_simplifier`` and ``strategy``.
 
         Source calls go through the fault-tolerant transport under
         ``deadline`` (a shared budget; see :meth:`deadline`).  When
@@ -393,59 +386,32 @@ class Mediator:
         Ad-hoc answers are never cached (``last_cache_outcome`` is
         ``"off"``): the matview cache holds union views only.
         """
-        if strategy not in ("auto", "compose", "materialize"):
-            raise MediatorError(f"unknown strategy {strategy!r}")
         registration = self._view(view_name)
         self._count(queries=1)
         self.last_degradation = None
         self.last_cache_outcome = "off"
-        effective = query
         with obs.span("mediator.query_view") as sp:
             sp.set_attribute("view", view_name)
-            if use_simplifier:
-                shared: dict = {}
-                report = self.preflight(query, view_name, cache=shared)
-                if report.has_errors:
-                    self._count(
-                        preflight_rejections=1,
-                        fanouts_skipped=1,
-                        answered_without_source=1,
-                    )
-                    sp.set_attribute("outcome", "preflight_rejected")
-                    return _empty_answer(query.view_name)
-                decision: SimplifierDecision = simplify_query(
-                    query,
-                    registration.dtd,
-                    self.mode,
-                    tightening=shared.get("tighten"),
+            plan = self._plan(query, view_name, use_simplifier, strategy)
+            if plan.strategy == "empty-answer":
+                self._count(
+                    preflight_rejections=1,
+                    fanouts_skipped=1,
+                    answered_without_source=1,
                 )
-                if decision.answer_is_empty:
-                    self._count(answered_without_source=1)
-                    sp.set_attribute("outcome", "simplified_empty")
-                    return _empty_answer(query.view_name)
-                self._count(conditions_pruned=decision.pruned_nodes)
-                effective = decision.query
+                sp.set_attribute("outcome", "preflight_rejected")
+                return _empty_answer(query.view_name)
+            self._count(conditions_pruned=plan.pruned_nodes)
             try:
-                if strategy in ("auto", "compose"):
-                    from .composition import compose_query
-
-                    source = self.sources[registration.source_name]
-                    composed = compose_query(
-                        registration.query, effective, source.dtd
+                if plan.composed_query is not None:
+                    self._count(composed=1)
+                    sp.set_attribute("outcome", "composed")
+                    return self._call_source(
+                        registration.source_name, plan.composed_query, deadline
                     )
-                    if composed is not None:
-                        self._count(composed=1)
-                        sp.set_attribute("outcome", "composed")
-                        return self._call_source(
-                            registration.source_name, composed, deadline
-                        )
-                    if strategy == "compose":
-                        raise MediatorError(
-                            "query is not composable with the view definition"
-                        )
                 sp.set_attribute("outcome", "materialized")
                 materialized = self.materialize(view_name, deadline)
-                return evaluate_many(effective, [materialized])
+                return evaluate_many(plan.effective_query, [materialized])
             except (SourceTimeout, SourceUnavailable) as error:
                 if not degrade:
                     raise
@@ -458,6 +424,51 @@ class Mediator:
                 return self._degraded_empty_answer(
                     query.view_name, registration.source_name, error
                 )
+
+    def _plan(
+        self, query: Query, view_name: str, use_simplifier: bool, strategy: str
+    ) -> "QueryPlan":
+        """Decide how :meth:`query_view` answers a query; touches no source.
+
+        With the simplifier on, the query is classified once: an
+        unsatisfiable one gets the ``empty-answer`` plan, and any other
+        is pruned.  Then ``strategy`` picks ``compose`` (when the query
+        composes with the view definition) or ``materialize``; the
+        ``compose`` strategy raises when the pair is not composable.
+        """
+        if strategy not in ("auto", "compose", "materialize"):
+            raise MediatorError(f"unknown strategy {strategy!r}")
+        registration = self._view(view_name)
+        plan = QueryPlan(
+            view_name=view_name,
+            classification=None,
+            pruned_nodes=0,
+            strategy="materialize",
+            composed_query=None,
+            effective_query=query,
+        )
+        if use_simplifier:
+            decision = simplify_query(query, registration.dtd, self.mode)
+            plan.classification = decision.classification
+            if decision.answer_is_empty:
+                plan.strategy = "empty-answer"
+                return plan
+            plan.pruned_nodes = decision.pruned_nodes
+            plan.effective_query = decision.query
+        if strategy != "materialize":
+            from .composition import compose_query
+
+            source = self.sources[registration.source_name]
+            plan.composed_query = compose_query(
+                registration.query, plan.effective_query, source.dtd
+            )
+            if plan.composed_query is not None:
+                plan.strategy = "compose"
+            elif strategy == "compose":
+                raise MediatorError(
+                    "query is not composable with the view definition"
+                )
+        return plan
 
     def _count(self, **increments: int) -> None:
         """Add to ``stats`` counters under the lock (one mediator
@@ -502,20 +513,33 @@ class Mediator:
             documents=[document],
         )
 
-    def explain(self, query: Query, view_name: str) -> "QueryPlan":
-        """Describe how a query against a view would be answered.
+    def explain(
+        self,
+        query: Query,
+        view_name: str,
+        use_simplifier: bool = True,
+        strategy: str = "auto",
+    ) -> "QueryPlan":
+        """Describe how :meth:`query_view` answers a query against a view.
 
-        Runs the simplifier and the composability check without
-        touching any source -- the "query processor derives more
-        efficient plans" story of Section 1, made inspectable.  The
-        planning work runs under a ``repro.obs`` span (a scoped tracer
-        is installed when none is active), and the rendered span tree
-        is attached as :attr:`QueryPlan.trace_lines` -- ``describe()``
-        shows where the plan's time and decisions went.
+        Builds the very plan :meth:`query_view` runs for the same
+        ``use_simplifier`` and ``strategy``, without touching any
+        source -- the "query processor derives more efficient plans"
+        story of Section 1, made inspectable -- and adds the source's
+        transport health.  The planning work runs under a ``repro.obs``
+        span (a scoped tracer is installed when none is active), and
+        the rendered span tree is attached as
+        :attr:`QueryPlan.trace_lines` -- ``describe()`` shows where the
+        plan's time and decisions went.
         """
-        return self._traced_plan(
-            view_name, lambda: self._explain_plan(query, view_name)
-        )
+
+        def build() -> QueryPlan:
+            plan = self._plan(query, view_name, use_simplifier, strategy)
+            transport = self.transports.get(self._view(view_name).source_name)
+            plan.source_health = [transport.health()] if transport else []
+            return plan
+
+        return self._traced_plan(view_name, build)
 
     def _traced_plan(self, view_name: str, build) -> "QueryPlan":
         """Run ``build`` under a ``mediator.explain`` span and attach the
@@ -530,34 +554,6 @@ class Mediator:
                 sp.set_attribute("cache", plan.cache_status)
         plan.trace_lines = sp.render().splitlines()
         return plan
-
-    def _explain_plan(self, query: Query, view_name: str) -> "QueryPlan":
-        registration = self._view(view_name)
-        decision = simplify_query(query, registration.dtd, self.mode)
-        composed = None
-        if not decision.answer_is_empty:
-            from .composition import compose_query
-
-            source = self.sources[registration.source_name]
-            composed = compose_query(
-                registration.query, decision.query, source.dtd
-            )
-        if decision.answer_is_empty:
-            strategy = "empty-answer"
-        elif composed is not None:
-            strategy = "compose"
-        else:
-            strategy = "materialize"
-        transport = self.transports.get(registration.source_name)
-        return QueryPlan(
-            view_name=view_name,
-            classification=decision.classification,
-            pruned_nodes=decision.pruned_nodes,
-            strategy=strategy,
-            composed_query=composed,
-            effective_query=decision.query,
-            source_health=[transport.health()] if transport else [],
-        )
 
     def explain_union(self, view_name: str) -> "QueryPlan":
         """Describe how a union-view materialization would be served.

@@ -17,7 +17,11 @@ from dataclasses import dataclass, replace
 
 from ..dtd import Dtd
 from ..xmas import Condition, Query
-from ..inference.classify import Classification, InferenceMode
+from ..inference.classify import (
+    Classification,
+    InferenceMode,
+    anchored_classification,
+)
 from ..inference.tighten import TightenResult, tighten
 
 
@@ -88,32 +92,19 @@ def simplify_query(
     query: Query,
     dtd: Dtd,
     mode: InferenceMode = InferenceMode.EXACT,
-    tightening: TightenResult | None = None,
 ) -> SimplifierDecision:
     """Classify and prune a query against a DTD.
 
-    The pruned query is equivalent to the original over every document
+    One uncollapsed Tighten run decides the query's classification
+    (:func:`~repro.inference.classify.anchored_classification`; per-node
+    classifications do not depend on specialization collapse).  The
+    pruned query is equivalent to the original over every document
     valid under ``dtd``: only subtrees proven to hold for *every*
     candidate element are reduced to existence tests, and subtrees
     binding variables the query still needs are kept intact.
-
-    ``tightening`` may carry a precomputed Tighten run for this
-    query/DTD pair (the mediator pre-flight shares its own run so the
-    query pays for one classification, not two); per-node
-    classifications do not depend on specialization collapse, so an
-    uncollapsed run is accepted.
     """
-    result = (
-        tightening
-        if tightening is not None
-        else tighten(dtd, query, mode, collapse=False, strict=False)
-    )
-    classification = result.classification
-    if dtd.root is not None and dtd.root not in result.root.keys:
-        # The condition tree is anchored at the document root: a root
-        # test that cannot match the document type is unsatisfiable
-        # even when its names exist elsewhere in the DTD.
-        classification = Classification.UNSATISFIABLE
+    result = tighten(dtd, query, mode, collapse=False, strict=False)
+    classification = anchored_classification(result, dtd)
     if classification is Classification.UNSATISFIABLE:
         return SimplifierDecision(classification, query)
     counter = [0]

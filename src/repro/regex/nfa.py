@@ -138,22 +138,3 @@ def build_nfa(regex: Regex) -> Nfa:
         follow=tuple(frozenset(f) for f in follow),
         accepts_epsilon=facts.nullable or nullable(regex),
     )
-
-
-def nfa_accepts(nfa: Nfa, word: list[tuple[str, int]]) -> bool:
-    """Simulate the Glushkov automaton on a word of (name, tag) letters."""
-    if not word:
-        return nfa.accepts_epsilon
-    current: frozenset[int] = frozenset(
-        p for p in nfa.first if nfa.label(p) == word[0]
-    )
-    for letter in word[1:]:
-        if not current:
-            return False
-        next_states: set[int] = set()
-        for p in current:
-            for q in nfa.follow_of(p):
-                if nfa.label(q) == letter:
-                    next_states.add(q)
-        current = frozenset(next_states)
-    return bool(current & nfa.last)

@@ -2,8 +2,9 @@
 
 A query flagged ``MIX101`` (unsatisfiable) by the lint subsystem must
 return the empty result over *every* document valid w.r.t. the source
-DTD -- this is exactly the guarantee the mediator pre-flight relies on
-when it answers without touching any source.
+DTD -- the guarantee the mediator relies on when it answers without
+touching any source, and the mediator decides on the simplifier's
+verdict, which must be lint's.
 """
 
 import random
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 
 from repro.dtd import dtd, generate_document, validate_document
 from repro.lint import lint_query
+from repro.mediator import simplify_query
 from repro.xmas import evaluate, parse_query
 from tests.strategies import pick_query_strategy
 
@@ -63,6 +65,17 @@ def test_clean_reports_never_carry_errors_without_mix101(q):
     report = lint_query(q, source())
     assert report.has_errors == ("MIX101" in report.codes())
     assert report.exit_code == (1 if report.has_errors else 0)
+
+
+@given(pick_query_strategy(CHILDREN, "r"))
+@settings(max_examples=120, deadline=None)
+def test_mix101_is_the_simplifiers_empty_verdict(q):
+    # the mediator answers empty on the simplifier's verdict alone, so
+    # lint's dead-path error must agree with it on every query
+    source_dtd = source()
+    assert ("MIX101" in lint_query(q, source_dtd).codes()) == (
+        simplify_query(q, source_dtd).answer_is_empty
+    )
 
 
 def test_generator_reaches_the_unsatisfiable_branch():

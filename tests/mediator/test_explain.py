@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.dtd import generate_document
+from repro.errors import MediatorError
 from repro.inference import Classification
 from repro.mediator import Mediator, Source
 from repro.workloads import paper
@@ -73,3 +74,61 @@ class TestExplain:
         text = mediator.explain(q, "publist").describe()
         assert "classification" in text
         assert "strategy" in text
+
+
+#: one query for each plan ``auto`` picks with the simplifier on
+PLANNED = [
+    "confs = SELECT X WHERE <publist> X:<publication><conference/>"
+    "</publication> </>",
+    "titles = SELECT T WHERE <publist> <publication> T:<title/> </> </>",
+    "v = SELECT X WHERE <publist> <publication><title/></publication>"
+    " X:<publication/> </>",
+]
+
+
+def executed_strategy(mediator, query, use_simplifier, strategy):
+    """The plan ``query_view`` ran, read off its counters and the source."""
+    source = mediator.sources["dept"]
+    composed = mediator.stats.composed
+    served = source.queries_served
+    mediator.query_view(
+        query, "publist", use_simplifier=use_simplifier, strategy=strategy
+    )
+    if mediator.stats.composed > composed:
+        return "compose"
+    if source.queries_served == served:
+        return "empty-answer"
+    return "materialize"
+
+
+class TestExplainMatchesExecution:
+    @pytest.mark.parametrize(
+        "text", PLANNED, ids=["empty", "composable", "uncomposable"]
+    )
+    @pytest.mark.parametrize("use_simplifier", [True, False])
+    @pytest.mark.parametrize("strategy", ["auto", "compose", "materialize"])
+    def test_explain_reports_the_plan_query_view_runs(
+        self, mediator, text, use_simplifier, strategy
+    ):
+        q = parse_query(text)
+        try:
+            plan = mediator.explain(
+                q, "publist", use_simplifier=use_simplifier, strategy=strategy
+            )
+        except MediatorError:
+            with pytest.raises(MediatorError):
+                mediator.query_view(
+                    q, "publist",
+                    use_simplifier=use_simplifier, strategy=strategy,
+                )
+            return
+        assert plan.strategy == executed_strategy(
+            mediator, q, use_simplifier, strategy
+        )
+
+    def test_materialize_strategy_is_reported(self, mediator):
+        q = parse_query(PLANNED[1])
+        assert mediator.explain(q, "publist").strategy == "compose"
+        plan = mediator.explain(q, "publist", strategy="materialize")
+        assert plan.strategy == "materialize"
+        assert plan.composed_query is None

@@ -1,8 +1,9 @@
-"""Tests for the mediator's static pre-flight (the lint hook).
+"""Tests for the mediator's static pre-flight (the empty-answer plan).
 
 The headline guarantee: a query with a provably unsatisfiable pick
 path performs *zero* source fan-outs -- the mediator answers with the
-empty view straight from the diagnostics.
+empty view on the simplifier's one classification, and runs no lint
+rule to do so.  ``Mediator.preflight`` stays the lint-report API.
 """
 
 import random
@@ -10,9 +11,12 @@ import threading
 
 import pytest
 
-from repro import obs
+from repro import lint, obs
 from repro.dtd import dtd, generate_document
+from repro.inference import Classification
+from repro.lint import engine as lint_engine
 from repro.mediator import Mediator, Source
+from repro.mediator import mediator as mediator_module
 from repro.obs import MetricsRegistry
 from repro.xmas import parse_query
 
@@ -54,18 +58,18 @@ def mediator(source):
     return med
 
 
-def record_preflights(monkeypatch, mediator):
-    """Every report ``mediator.preflight`` returns from now on."""
-    reports = []
-    original = mediator.preflight
+def record_decisions(monkeypatch):
+    """Every decision the mediator's ``simplify_query`` returns from now on."""
+    decisions = []
+    original = mediator_module.simplify_query
 
     def recording(*args, **kwargs):
-        report = original(*args, **kwargs)
-        reports.append(report)
-        return report
+        decision = original(*args, **kwargs)
+        decisions.append(decision)
+        return decision
 
-    monkeypatch.setattr(mediator, "preflight", recording)
-    return reports
+    monkeypatch.setattr(mediator_module, "simplify_query", recording)
+    return decisions
 
 
 class TestPreflightRejection:
@@ -78,9 +82,12 @@ class TestPreflightRejection:
         assert mediator.stats.answered_without_source == 1
 
     def test_rejection_report_is_inspectable(self, mediator, monkeypatch):
-        reports = record_preflights(monkeypatch, mediator)
+        decisions = record_decisions(monkeypatch)
         mediator.query_view(parse_query(DEAD), "withJournals")
-        [report] = reports
+        [decision] = decisions
+        assert decision.answer_is_empty
+        assert decision.classification is Classification.UNSATISFIABLE
+        report = mediator.preflight(parse_query(DEAD), "withJournals")
         assert report.has_errors
         assert "MIX101" in report.codes()
 
@@ -102,40 +109,52 @@ class TestPreflightPassThrough:
     def test_preflight_shares_its_tighten_run(self, mediator):
         with obs.traced(metrics=MetricsRegistry()) as tracer:
             mediator.query_view(parse_query(SAT), "withJournals")
-        # the simplifier consumed the pre-flight's run: one
-        # classification per query, not two
+        # one classification per query, not two
         assert len(tracer.find("inference.tighten")) == 1
 
     def test_no_simplifier_means_no_preflight(self, mediator, monkeypatch):
-        reports = record_preflights(monkeypatch, mediator)
+        decisions = record_decisions(monkeypatch)
         mediator.query_view(
             parse_query(SAT), "withJournals", use_simplifier=False
         )
         assert mediator.stats.preflight_rejections == 0
-        assert reports == []
+        assert decisions == []
+
+    def test_answering_runs_no_lint_rule(self, mediator, source, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lint ran on the request path")
+
+        monkeypatch.setattr(lint, "lint_query", refuse)
+        monkeypatch.setattr(lint_engine, "run_lint", refuse)
+        dead = mediator.query_view(parse_query(DEAD), "withJournals")
+        assert dead.root.content == []
+        assert mediator.stats.preflight_rejections == 1
+        sat = mediator.query_view(parse_query(SAT), "withJournals")
+        assert sat.root.children
+        assert source.queries_served == 1
 
 
 class TestConcurrentPreflights:
     def test_a_preflight_never_leaks_into_another_answer(
         self, mediator, monkeypatch
     ):
-        # Thread A pauses between its pre-flight and its simplifier
+        # Thread A pauses between its classification and its fan-out
         # until the dead query has been answered on this thread: A's
-        # Tighten run must still be A's own.
+        # decision must still be A's own.
         solo = mediator.query_view(parse_query(SAT), "withJournals")
         assert solo.root.children
         preflighted = threading.Event()
         dead_answered = threading.Event()
-        original = mediator.preflight
+        original = mediator_module.simplify_query
 
         def paused(*args, **kwargs):
-            report = original(*args, **kwargs)
+            decision = original(*args, **kwargs)
             if threading.current_thread().name == "A":
                 preflighted.set()
                 assert dead_answered.wait(10)
-            return report
+            return decision
 
-        monkeypatch.setattr(mediator, "preflight", paused)
+        monkeypatch.setattr(mediator_module, "simplify_query", paused)
         answers = []
         thread = threading.Thread(
             target=lambda: answers.append(

@@ -14,6 +14,9 @@ independent formulations the property tests compare it against:
   iterated Brzozowski derivatives, against the Glushkov/DFA path of
   :func:`repro.regex.matches`: two engines built from different theory
   are unlikely to share a bug;
+* :func:`nfa_accepts` -- membership by simulating the Glushkov automaton
+  state set by state set, against the subset-construction DFA of
+  :func:`repro.regex.to_dfa`;
 * :func:`substitute_tree`, :func:`simplify_tree`,
   :func:`prune_subsumed_tree` and :func:`project_tree` -- the inference
   walks revisiting every shared subterm of a hash-consed regex, against
@@ -69,6 +72,7 @@ from repro.regex.ast import (
     star,
 )
 from repro.regex.dfa import product
+from repro.regex.nfa import Nfa
 from repro.regex.language import _aligned
 from repro.regex.simplify import _fuse_repetitions, _strip_nullability_markers
 from repro.xmlmodel import element as _element
@@ -185,6 +189,25 @@ def matches_by_derivatives(regex: Regex, word: Sequence[Sym]) -> bool:
         if isinstance(current, Empty):
             return False
     return nullable(current)
+
+
+def nfa_accepts(nfa: Nfa, word: list[tuple[str, int]]) -> bool:
+    """Simulate the Glushkov automaton on a word of (name, tag) letters."""
+    if not word:
+        return nfa.accepts_epsilon
+    current: frozenset[int] = frozenset(
+        p for p in nfa.first if nfa.label(p) == word[0]
+    )
+    for letter in word[1:]:
+        if not current:
+            return False
+        next_states: set[int] = set()
+        for p in current:
+            for q in nfa.follow_of(p):
+                if nfa.label(q) == letter:
+                    next_states.add(q)
+        current = frozenset(next_states)
+    return bool(current & nfa.last)
 
 
 # ---------------------------------------------------------------------------

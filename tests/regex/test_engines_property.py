@@ -26,9 +26,9 @@ from repro.regex import (
     sample_word_uniform,
     to_dfa,
 )
-from repro.regex.nfa import build_nfa, nfa_accepts
+from repro.regex.nfa import build_nfa
 
-from tests.oracles import matches_by_derivatives
+from tests.oracles import matches_by_derivatives, nfa_accepts
 from tests.strategies import NAMES, regex_strategy, words_strategy
 
 FAST = settings(max_examples=150, deadline=None)

@@ -212,6 +212,17 @@ class TestAsk:
         err = capsys.readouterr().err
         assert "strategy:" in err
 
+    def test_ask_explain_reports_the_strategy_it_ran(
+        self, files, tmp_path, capsys
+    ):
+        assert (
+            self._ask(
+                files, tmp_path, "--strategy", "materialize", "--explain"
+            )
+            == 0
+        )
+        assert "strategy: materialize" in capsys.readouterr().err
+
     def test_ask_transport_flags_accepted(self, files, tmp_path, capsys):
         assert (
             self._ask(
